@@ -1,7 +1,9 @@
 // Command tsbench regenerates the paper's evaluation — both figure
 // families (Figure 3: throughput scaling; Figure 4: oversubscription)
-// and the ablations documented in DESIGN.md (A1 buffer size, A2 scan
-// cost, A3 scan lookup, A4 errant thread, A5 sharded collect) — and
+// and the ten ablations listed in the README's "Ablations" section (A1
+// buffer size, A2 scan cost, A3 scan lookup, A4 errant thread, A5
+// sharded collect, A6 NUMA shard affinity, A7 per-node routing, A8
+// allocation pools, A9 concurrent collects, A10 bounded garbage) — and
 // runs the declarative scenario suite (skew, delete storms, thread
 // churn, oversubscription) with memory-footprint telemetry.
 //
@@ -56,7 +58,7 @@ func main() {
 	}
 	var (
 		figNum   = flag.Int("fig", 0, "figure to reproduce: 3 or 4")
-		ablation = flag.String("ablation", "", "ablation to run: buffer | lookup | scancost | stall | shards | numa | pernode | allocpool | overlap | robust")
+		ablation = flag.String("ablation", "", "ablation to run: "+strings.Join(harness.AblationNames(), " | "))
 		single   = flag.Bool("single", false, "run a single experiment and dump its stats")
 		dsName   = flag.String("ds", "all", "data structure: list | hash | skiplist | all")
 		scheme   = flag.String("scheme", "threadscan", "scheme for -single")
@@ -70,8 +72,8 @@ func main() {
 		csvPath  = flag.String("csv", "", "also write figure results as CSV to this file")
 		buffer   = flag.Int("buffer", 0, "per-thread delete buffer for -single (0 = 1024)")
 		batch    = flag.Int("batch", 0, "reclaim batch for -single (0 = 1024)")
-		ablScen  = flag.String("ablation-scenario", "", "scenario(s) for -ablation shards/numa/pernode/allocpool/overlap/robust (comma-separated except shards and robust)")
-		shardKs  = flag.String("shard-counts", "", "comma-separated K values for -ablation shards (default 1,2,4,8,16)")
+		ablScen  = flag.String("ablation-scenario", "", "comma-separated builtin scenarios replacing the -ablation's subjects")
+		shardKs  = flag.String("shard-counts", "", "comma-separated K values for an -ablation with a shards axis")
 		trace    = flag.String("trace", "", "tracing is a scenarios feature; see: tsbench scenarios -trace out.json")
 	)
 	flag.Parse()
@@ -91,6 +93,17 @@ func main() {
 		os.Exit(2)
 	}
 
+	var abl harness.Ablation
+	if *ablation != "" {
+		var err error
+		abl, err = resolveAblation(*ablation, *ablScen, *shardKs, *threads)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tsbench:", err)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
+
 	params := harness.SweepParams{
 		Scale:    parseScale(*scale),
 		Cores:    *cores,
@@ -107,11 +120,13 @@ func main() {
 	case *single:
 		runSingle(*dsName, *scheme, *threads, params, *buffer, *batch)
 	case *ablation != "":
-		var ks []int
-		if *shardKs != "" {
-			ks = parseInts(*shardKs, "shard count")
+		cells, err := abl.Run(params)
+		if err != nil {
+			fatal(err)
 		}
-		runAblation(*ablation, params, *ablScen, ks)
+		if err := abl.WriteTable(os.Stdout, cells); err != nil {
+			fatal(err)
+		}
 	case *figNum == 3 || *figNum == 4:
 		runFigure(*figNum, *dsName, params, *csvPath)
 	default:
@@ -163,16 +178,42 @@ func parseInts(s, what string) []int {
 	return out
 }
 
-// splitScenarios parses a comma-separated -ablation-scenario value
-// (empty slice = the ablation's default scenario set).
-func splitScenarios(s string) []string {
-	var out []string
-	if s != "" {
-		for _, part := range strings.Split(s, ",") {
-			out = append(out, strings.TrimSpace(part))
+// resolveAblation looks up the -ablation name and applies the
+// -ablation-scenario, -shard-counts and -threads overrides.  An unknown
+// name, or an override the ablation has nothing to apply to, is a usage
+// error at parse time — same policy as -scheme.
+func resolveAblation(name, scenarios, shardCounts, threads string) (harness.Ablation, error) {
+	a, ok := harness.AblationByName(name)
+	if !ok {
+		return a, fmt.Errorf("unknown ablation %q (known: %s)",
+			name, strings.Join(harness.AblationNames(), ", "))
+	}
+	if scenarios != "" {
+		if len(a.Subjects) == 0 {
+			return a, fmt.Errorf("-ablation-scenario does not apply to -ablation %s, which runs no builtin scenario", name)
+		}
+		specs, err := resolveScenarios(scenarios)
+		if err != nil {
+			return a, fmt.Errorf("-ablation-scenario: %w", err)
+		}
+		a.Subjects = nil
+		for _, s := range specs {
+			a.Subjects = append(a.Subjects, s.Name)
 		}
 	}
-	return out
+	for _, o := range []struct{ flag, axis, values string }{
+		{"-shard-counts", "shards", shardCounts},
+		{"-threads", "threads", threads},
+	} {
+		if o.values == "" {
+			continue
+		}
+		var err error
+		if a, err = a.Sweep(o.axis, strings.Split(strings.ReplaceAll(o.values, " ", ""), ",")...); err != nil {
+			return a, fmt.Errorf("%s: %w", o.flag, err)
+		}
+	}
+	return a, nil
 }
 
 func dsNames(s string) []string {
@@ -217,96 +258,6 @@ func runFigure(fig int, dsArg string, params harness.SweepParams, csvPath string
 				fatal(err)
 			}
 		}
-	}
-}
-
-func runAblation(kind string, params harness.SweepParams, ablScenario string, shardKs []int) {
-	switch kind {
-	case "buffer":
-		rows, err := harness.AblationBuffer(nil, params, 0)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteBufferTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "lookup":
-		rows, err := harness.AblationLookup(params, 0)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteLookupTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "scancost":
-		for _, helpFree := range []bool{false, true} {
-			rows, err := harness.AblationScanCost(params, helpFree)
-			if err != nil {
-				fatal(err)
-			}
-			if err := harness.WriteScanCostTable(os.Stdout, rows, helpFree); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-	case "stall":
-		rows, err := harness.AblationStall(params, 0, 0, 0)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteStallTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "shards":
-		rows, err := harness.AblationShards(ablScenario, shardKs, params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteShardTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "numa":
-		rows, err := harness.AblationNUMA(splitScenarios(ablScenario), params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteNUMATable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "pernode":
-		rows, err := harness.AblationPerNode(splitScenarios(ablScenario), params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WritePerNodeTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "allocpool":
-		rows, err := harness.AblationAllocPool(splitScenarios(ablScenario), params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteAllocPoolTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "overlap":
-		rows, err := harness.AblationOverlap(splitScenarios(ablScenario), nil, params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteOverlapTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "robust":
-		rows, err := harness.AblationRobust(ablScenario, nil, params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteRobustTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown ablation %q", kind))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"threadscan/internal/harness"
 	"threadscan/internal/workload"
 )
 
@@ -143,5 +144,52 @@ func TestValidateRootTrace(t *testing.T) {
 	if err := validateRootTrace("out.json", ""); err == nil ||
 		!strings.Contains(err.Error(), "applies to the scenarios subcommand") {
 		t.Fatalf("-trace alone: err %v", err)
+	}
+}
+
+// resolveAblation must reject at parse time an unknown -ablation name
+// (naming the registered ones) and any override the chosen ablation has
+// nothing to apply to, instead of failing mid-run or ignoring the flag.
+func TestResolveAblation(t *testing.T) {
+	cases := []struct {
+		name                                 string
+		ablation, scenarios, shards, threads string
+		wantErr                              string // substring; "" = must pass
+	}{
+		{name: "registered name", ablation: "stall"},
+		{name: "unknown name lists the registry", ablation: "bogus",
+			wantErr: "known: " + strings.Join(harness.AblationNames(), ", ")},
+		{name: "subject override", ablation: "numa", scenarios: "numa-split, numa-balanced"},
+		{name: "subject override on a subjectless ablation", ablation: "stall", scenarios: "numa-split",
+			wantErr: "-ablation-scenario does not apply"},
+		{name: "unknown subject", ablation: "numa", scenarios: "nope", wantErr: "unknown scenario"},
+		{name: "shard counts", ablation: "shards", shards: "1, 4"},
+		{name: "shard counts without a K axis", ablation: "buffer", shards: "2",
+			wantErr: "-shard-counts"},
+		{name: "bad shard count", ablation: "shards", shards: "two", wantErr: "bad value"},
+		{name: "thread counts", ablation: "scancost", threads: "1,2"},
+		{name: "thread counts without a threads axis", ablation: "lookup", threads: "4",
+			wantErr: "-threads"},
+	}
+	for _, tc := range cases {
+		a, err := resolveAblation(tc.ablation, tc.scenarios, tc.shards, tc.threads)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.wantErr)
+		case tc.wantErr == "" && a.Name != tc.ablation:
+			t.Errorf("%s: resolved %q", tc.name, a.Name)
+		}
+	}
+	a, err := resolveAblation("shards", "delete-storm", "1, 4", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Subjects) != 1 || a.Subjects[0] != "delete-storm" {
+		t.Errorf("subjects %v, want [delete-storm]", a.Subjects)
+	}
+	if k := a.Axes[0]; k.Name != "shards" || strings.Join(k.Values, ",") != "1,4" {
+		t.Errorf("shards axis %s=%v, want 1,4", k.Name, k.Values)
 	}
 }

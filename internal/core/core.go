@@ -80,6 +80,20 @@ func (k LookupKind) String() string {
 	}
 }
 
+// ParseLookup maps a lookup name to its LookupKind.  The empty string
+// is LookupBinary, the paper's design.
+func ParseLookup(s string) (LookupKind, error) {
+	for _, k := range []LookupKind{LookupBinary, LookupLinear, LookupHash} {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	if s == "" {
+		return LookupBinary, nil
+	}
+	return 0, fmt.Errorf("core: unknown lookup %q (want binary, linear, or hash)", s)
+}
+
 // ClaimPolicy selects the order in which threads claim shard work
 // units — sort claims in the scan handler, sweep-list claims under
 // HelpFree — when the simulated machine has more than one NUMA node.

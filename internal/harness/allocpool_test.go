@@ -154,7 +154,9 @@ func TestAblationAllocPoolRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("A8 sweep skipped in -short")
 	}
-	rows, err := AblationAllocPool([]string{"numa-split"}, SweepParams{Duration: 12_500_000})
+	a := ablation(t, "allocpool")
+	a.Subjects = []string{"numa-split"}
+	rows, err := a.Run(SweepParams{Duration: 12_500_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestAblationAllocPoolRuns(t *testing.T) {
 	}
 	for _, row := range rows {
 		if row.Result.Ops == 0 {
-			t.Errorf("%s/%s/%s ran no ops", row.Scenario, row.Policy, row.Routing)
+			t.Errorf("%s/%s ran no ops", row.Subject, row.Point["policy/routing"])
 		}
 	}
 }

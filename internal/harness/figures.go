@@ -20,7 +20,9 @@ const (
 	ScalePaper
 )
 
-// SweepParams parameterizes a figure sweep.
+// SweepParams parameterizes a figure sweep or an ablation.  Ablations
+// run on the scenario engine, which has no cache model and takes its
+// thread counts from axes, so they ignore CacheSim and ThreadCounts.
 type SweepParams struct {
 	Scale        Scale
 	ThreadCounts []int // per-point thread counts; nil = per-figure default

@@ -1,6 +1,7 @@
 // Package harness drives the paper's evaluation (§6): workload
 // generation, prefill, measurement, teardown, and the sweeps that
-// regenerate every figure plus the ablations DESIGN.md calls out.
+// regenerate every figure plus the ablations listed in the README's
+// "Ablations" section.
 //
 // Methodology mirrors the paper: a sorted-set workload with a 20%
 // update ratio (half inserts, half removes, "so about 10% of all
@@ -71,11 +72,6 @@ type Config struct {
 	SlowDelay      int64            // slow-epoch cleanup stall; 0 = 40ms
 	DelayVictim    int              // slow-epoch errant thread id; 0 = thread 0
 	SegmentLen     int              // stacktrack segment; 0 = 16
-
-	// Errant-thread injection (ablation A4): thread 0 executes one
-	// empty operation stalled for StallCycles every StallEvery ops.
-	StallEvery  int
-	StallCycles int64
 
 	// Simulator knobs (0 = defaults).
 	Quantum   int64
@@ -366,20 +362,7 @@ func Run(cfg Config) (Result, error) {
 			startAt[i] = start
 			deadline := start + cfg.Duration
 			ops := uint64(0)
-			sinceStall := 0
 			for th.Now() < deadline {
-				if cfg.StallCycles > 0 && i == 0 {
-					sinceStall++
-					if sinceStall >= cfg.StallEvery {
-						sinceStall = 0
-						// One errant, empty, stalled operation (A4).
-						sc.BeginOp(th)
-						th.Work(cfg.StallCycles)
-						sc.EndOp(th)
-						ops++
-						continue
-					}
-				}
 				key := ds.MinKey + uint64(rng.Int63n(int64(cfg.KeyRange)))
 				switch r := uint64(rng.Intn(100)); {
 				case r < insThreshold:

@@ -171,7 +171,9 @@ func TestFig4AddsTunedHashVariant(t *testing.T) {
 
 func TestAblationBuffer(t *testing.T) {
 	p := SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 1_000_000, Seed: 5}
-	rows, err := AblationBuffer([]int{64, 256}, p, 4)
+	a := withAxes(ablation(t, "buffer"),
+		intAxis("buffer", setBuffer, 64, 256), intAxis("threads", setThreads, 4))
+	rows, err := a.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,38 +186,41 @@ func TestAblationBuffer(t *testing.T) {
 			rows[0].Result.Core.Collects, rows[1].Result.Core.Collects)
 	}
 	var buf bytes.Buffer
-	if err := WriteBufferTable(&buf, rows); err != nil {
+	if err := a.WriteTable(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAblationLookupAgree(t *testing.T) {
 	p := SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 1_000_000, Seed: 9}
-	rows, err := AblationLookup(p, 2)
+	a := ablation(t, "lookup") // threads = cores = 2
+	rows, err := a.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows: %d", len(rows))
 	}
-	if rows[0].Lookup != core.LookupBinary {
+	if rows[0].Point["lookup"] != core.LookupBinary.String() {
 		t.Fatal("first row should be the paper's binary search")
 	}
 	var buf bytes.Buffer
-	if err := WriteLookupTable(&buf, rows); err != nil {
+	if err := a.WriteTable(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAblationStallShowsContrast(t *testing.T) {
 	p := SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 8_000_000, Seed: 11}
-	rows, err := AblationStall(p, 3, 50, 1_000_000)
+	a := withAxes(ablation(t, "stall"), intAxis("threads", setThreads, 3),
+		intAxis("stall_every", setStallEvery, 50), intAxis("stall_cycles", setStallCycles, 1_000_000))
+	rows, err := a.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var epochWait, tsWait int64
 	for _, r := range rows {
-		switch r.Scheme {
+		switch r.Result.Scheme {
 		case "epoch":
 			epochWait = r.Result.SchemeStats.GraceWaitCycles
 		case "threadscan":
@@ -229,7 +234,7 @@ func TestAblationStallShowsContrast(t *testing.T) {
 		t.Fatal("epoch reclaimers never waited despite the stalled thread")
 	}
 	var buf bytes.Buffer
-	if err := WriteStallTable(&buf, rows); err != nil {
+	if err := a.WriteTable(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -32,22 +32,28 @@ func TestOverlapScalingRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("A9 sweep skipped in -short")
 	}
-	rows, err := AblationOverlap([]string{"per-node-reclaim"}, []int{1, 2, 4},
-		SweepParams{Duration: 10_000_000, Seed: 1})
+	a := ablation(t, "overlap")
+	a.Subjects = []string{"per-node-reclaim"}
+	a, err := a.Sweep("nodes", "1", "2", "4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[[2]interface{}]OverlapRow{}
+	rows, err := a.Run(SweepParams{Duration: 10_000_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[[2]interface{}]Cell{}
 	for _, row := range rows {
-		byKey[[2]interface{}{row.Nodes, row.Mode}] = row
+		nodes, mode := row.Result.Nodes, row.Point["mode"]
+		byKey[[2]interface{}{nodes, mode}] = row
 		c := row.Result.Core
-		if row.Mode == "serialized" && c.OverlappedCollects != 0 {
+		if mode == "serialized" && c.OverlappedCollects != 0 {
 			t.Errorf("serialized run at %d nodes overlapped %d collects — the machine-wide lock leaked",
-				row.Nodes, c.OverlappedCollects)
+				nodes, c.OverlappedCollects)
 		}
-		if row.Mode == "overlapped" && row.Nodes >= 2 && c.OverlappedCollects == 0 {
+		if mode == "overlapped" && nodes >= 2 && c.OverlappedCollects == 0 {
 			t.Errorf("overlapped run at %d nodes never overlapped a collect — the sweep proves nothing",
-				row.Nodes)
+				nodes)
 		}
 	}
 	// At one node PerNode is inert, so both modes are the same classic
@@ -58,7 +64,7 @@ func TestOverlapScalingRegression(t *testing.T) {
 		t.Errorf("single-node serialized and overlapped runs diverged: ops %d/%d cycles %d/%d",
 			s1.Result.Ops, o1.Result.Ops, s1.Result.ElapsedCycles, o1.Result.ElapsedCycles)
 	}
-	base := o1.CollectThroughput
+	base := collectThroughput(o1.Result)
 	if base <= 0 {
 		t.Fatal("single-node run reclaimed nothing")
 	}
@@ -66,7 +72,7 @@ func TestOverlapScalingRegression(t *testing.T) {
 		nodes int
 		ratio float64
 	}{{2, 1.7}, {4, 3.0}} {
-		got := byKey[[2]interface{}{want.nodes, "overlapped"}].CollectThroughput / base
+		got := collectThroughput(byKey[[2]interface{}{want.nodes, "overlapped"}].Result) / base
 		if got < want.ratio {
 			t.Errorf("overlapped collect throughput at %d nodes scaled %.2fx over one node, want >= %.1fx",
 				want.nodes, got, want.ratio)
@@ -117,8 +123,8 @@ func TestStealUnderOverlapChaos(t *testing.T) {
 			t.Errorf("seed %d: free accounting unbalanced: freed %d + pending %d != retired %d",
 				seed, s.Freed, s.Pending, s.Retired)
 		}
-		stole += s.StolenCollects
-		overlapped += s.OverlappedCollects
+		stole += r.Core.StolenCollects
+		overlapped += r.Core.OverlappedCollects
 	}
 	if stole == 0 {
 		t.Error("no seed stole a collect — the sweep never exercised steal-under-overlap")
@@ -179,7 +185,7 @@ func TestOverlapZeroCostReplay(t *testing.T) {
 			bare.Ops, traced.Ops, bare.ElapsedCycles, traced.ElapsedCycles,
 			bare.TraceHash, traced.TraceHash, bare.FinalSize, traced.FinalSize)
 	}
-	if bare.SchemeStats.OverlappedCollects == 0 {
+	if bare.Core.OverlappedCollects == 0 {
 		t.Error("replay pair never overlapped a collect — zero-cost claim untested on the overlap path")
 	}
 }

@@ -23,7 +23,10 @@ func TestRobustBoundedGarbageContrast(t *testing.T) {
 		t.Skip("multi-scheme stall sweep")
 	}
 	stalls := []int64{1_000_000, 6_000_000}
-	rows, err := AblationRobust("stalled-scanner", stalls, SweepParams{Seed: 1})
+	a := ablation(t, "robust")
+	a.Subjects = []string{"stalled-scanner"}
+	a = withAxes(a, intAxis("stall_cycles", setStallCycles, stalls...))
+	rows, err := a.Run(SweepParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +38,9 @@ func TestRobustBoundedGarbageContrast(t *testing.T) {
 	for _, r := range rows {
 		p := r.Result.Footprint.ExactPeakRetiredWords
 		if p == 0 {
-			t.Fatalf("%s/%d: zero exact peak", r.Scheme, r.StallCycles)
+			t.Fatalf("%s/%d: zero exact peak", r.Result.Scheme, r.Result.Scenario.StallCycles)
 		}
-		peaks[r.Scheme] = append(peaks[r.Scheme], p)
+		peaks[r.Result.Scheme] = append(peaks[r.Result.Scheme], p)
 	}
 	for _, scheme := range []string{"epoch", "threadscan"} {
 		p := peaks[scheme]
@@ -61,7 +64,7 @@ func TestRobustBoundedGarbageContrast(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteRobustTable(&buf, rows); err != nil {
+	if err := a.WriteTable(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"stall_cycles", "exact_peak_words", "hyaline", "epoch", "threadscan"} {

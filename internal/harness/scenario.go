@@ -35,8 +35,8 @@ type ScenarioResult struct {
 	PinPolicy string `json:"pin_policy,omitempty"`
 
 	// PerNode reports whether threadscan's per-node retirement routing
-	// was requested; the per-node counter breakdowns live in
-	// SchemeStats (NodeCollects, NodeReclaimed, SweepRemoteFills...).
+	// was requested; the per-node counter breakdowns live in Core
+	// (NodeCollects, NodeReclaimed, SweepRemoteFills...).
 	PerNode bool `json:"per_node,omitempty"`
 
 	// AllocPolicy is the allocator's NUMA placement policy the run used
@@ -410,6 +410,10 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 	if spec.ClaimPolicy == "rr" {
 		claim = core.ClaimRoundRobin
 	}
+	lookup, err := core.ParseLookup(spec.Lookup)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
 	schemeCfg := Config{
 		Scheme:         spec.Scheme,
 		BufferSize:     spec.BufferSize,
@@ -417,6 +421,7 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		Shards:         spec.Shards,
 		Watermark:      spec.Watermark,
 		HelpFree:       spec.HelpFree,
+		Lookup:         lookup,
 		Claim:          claim,
 		PerNode:        spec.PerNode,
 		StealThreshold: spec.StealThreshold,

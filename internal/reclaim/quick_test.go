@@ -112,14 +112,15 @@ func TestDoubleRetireIsAbsorbed(t *testing.T) {
 		t.Fatalf("double retire corrupted the heap: %v", err)
 	}
 	st := ts.Stats()
-	if st.DoubleRetires != 1 {
-		t.Fatalf("DoubleRetires = %d, want 1", st.DoubleRetires)
+	cst := ts.(*ThreadScan).Core().Stats()
+	if cst.DoubleRetires != 1 {
+		t.Fatalf("DoubleRetires = %d, want 1", cst.DoubleRetires)
 	}
 	// The absorbed duplicate counts as freed, so the footprint metric
 	// does not report it as phantom garbage forever.
 	if st.Retired != st.Freed {
 		t.Fatalf("accounting: retired %d freed %d double %d",
-			st.Retired, st.Freed, st.DoubleRetires)
+			st.Retired, st.Freed, cst.DoubleRetires)
 	}
 	if live := s.Heap().Stats().LiveBlocks; live != 0 {
 		t.Fatalf("leaked %d blocks", live)

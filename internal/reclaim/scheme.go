@@ -102,7 +102,9 @@ type BirthStamper interface {
 }
 
 // Stats aggregates scheme activity.  Fields not applicable to a scheme
-// stay zero.
+// stay zero.  Only scheme-generic counters live here: the ThreadScan
+// pipeline, simulator and heap each report their own (core.Stats,
+// simt.SimStats, simmem.Stats).
 type Stats struct {
 	Retired         uint64 // nodes handed to Retire
 	Freed           uint64 // nodes returned to the allocator
@@ -126,50 +128,6 @@ type Stats struct {
 	// Populated only when the scheme was built with an obs.Recorder
 	// (zero otherwise, and always zero for Leaky — it never blocks).
 	MaxPauseCycles int64
-
-	// Sharded-collect pipeline counters (ThreadScan; zero elsewhere).
-	Shards        int    // configured shard count K
-	ShardsSorted  uint64 // shard sort/build passes across all collects
-	HelpSorted    uint64 // shards sorted inside scanner handlers
-	HelpSwept     uint64 // per-shard free lists swept by scanners
-	DoubleRetires uint64 // duplicate retires of one address absorbed
-
-	// NUMA shard-affinity counters (ThreadScan on a multi-node
-	// topology; zero elsewhere and on the flat machine).
-	LocalShardClaims  uint64 // shard work units claimed on their home node
-	RemoteShardClaims uint64 // shard work units claimed cross-node
-	RemoteLineFills   uint64 // machine-wide cross-node line fills (sim stat)
-
-	// Per-node reclamation counters (ThreadScan with PerNode routing;
-	// zero/nil elsewhere).  SweepRemoteFills counts steady-state sweep
-	// frees that touched a remotely-homed line (the traffic per-node
-	// routing eliminates); NodeCollects/NodeReclaimed break collects
-	// and frees down by home node; the Stolen counters record
-	// cross-node rebalancing past the steal threshold.
-	SweepRemoteFills uint64
-	NodeCollects     []uint64
-	NodeReclaimed    []uint64
-	StolenCollects   uint64
-	StolenSweeps     uint64
-
-	// OverlappedCollects counts collect phases that began while another
-	// node's collect was already in flight — nonzero only with PerNode
-	// concurrent collects (SerializeCollects off).
-	OverlappedCollects uint64
-
-	// Allocation-subsystem counters (machine-wide, mirrored from the
-	// simulated heap's per-node pools by the ThreadScan adapter like
-	// RemoteLineFills; zero elsewhere and on a single-pool heap).
-	// AllocRemoteFills counts allocations handed a block whose lines
-	// were last homed on another node (the alloc-side cross-socket
-	// traffic a global pool causes); RemoteAllocs counts blocks served
-	// outside their home region; HomeFrees/RemoteFrees split sweep-side
-	// frees by whether they routed into the freeing node's own pool or
-	// crossed the interconnect into a remote-free inbox.
-	AllocRemoteFills uint64
-	RemoteAllocs     uint64
-	HomeFrees        uint64
-	RemoteFrees      uint64
 }
 
 // notePeak records the current retired-minus-freed backlog into

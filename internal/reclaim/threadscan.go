@@ -13,14 +13,13 @@ import (
 // automatic" interface of §1.2.
 type ThreadScan struct {
 	ts    *core.ThreadScan
-	sim   *simt.Sim
 	obs   *obs.Recorder // == cfg.Obs; nil-safe on every call
 	stats Stats
 }
 
 // NewThreadScan creates a ThreadScan domain bound to sim.
 func NewThreadScan(sim *simt.Sim, cfg core.Config) *ThreadScan {
-	return &ThreadScan{ts: core.New(sim, cfg), sim: sim, obs: cfg.Obs}
+	return &ThreadScan{ts: core.New(sim, cfg), obs: cfg.Obs}
 }
 
 // Core exposes the underlying protocol instance (stats, heap-block
@@ -73,31 +72,12 @@ func (s *ThreadScan) Flush(t *simt.Thread) int {
 // unreclaimed garbage in the footprint metric.
 func (s *ThreadScan) Stats() Stats {
 	c := s.ts.Stats()
-	hs := s.sim.Heap().Stats()
 	return Stats{
-		Retired:            c.Frees,
-		PeakRetired:        s.stats.PeakRetired,
-		MaxPauseCycles:     s.obs.MaxPause(),
-		Freed:              c.Reclaimed + c.HelpFreed + c.DoubleRetires,
-		Pending:            uint64(s.ts.Buffered()),
-		ReclaimPasses:      c.Collects,
-		Shards:             s.ts.Shards(),
-		ShardsSorted:       c.ShardsSorted,
-		HelpSorted:         c.HelpSortedShards,
-		HelpSwept:          c.HelpSweptShards,
-		DoubleRetires:      c.DoubleRetires,
-		LocalShardClaims:   c.LocalShardClaims,
-		RemoteShardClaims:  c.RemoteShardClaims,
-		RemoteLineFills:    s.sim.Stats().RemoteLineFills,
-		SweepRemoteFills:   c.SweepRemoteFills,
-		NodeCollects:       c.NodeCollects,
-		NodeReclaimed:      c.NodeReclaimed,
-		StolenCollects:     c.StolenCollects,
-		StolenSweeps:       c.StolenSweeps,
-		OverlappedCollects: c.OverlappedCollects,
-		AllocRemoteFills:   s.sim.Stats().AllocRemoteFills,
-		RemoteAllocs:       hs.RemoteAllocs,
-		HomeFrees:          hs.HomeFrees,
-		RemoteFrees:        hs.RemoteFrees,
+		Retired:        c.Frees,
+		PeakRetired:    s.stats.PeakRetired,
+		MaxPauseCycles: s.obs.MaxPause(),
+		Freed:          c.Reclaimed + c.HelpFreed + c.DoubleRetires,
+		Pending:        uint64(s.ts.Buffered()),
+		ReclaimPasses:  c.Collects,
 	}
 }

@@ -12,12 +12,11 @@ package simt
 // inverting the paper's leaky-is-the-ceiling ordering.  Four ways with
 // round-robin replacement tracks real L2 behaviour closely enough.
 //
-// A tag entry packs the cache generation with the line number; bumping
-// the generation invalidates the whole cache in O(1).
+// A tag entry is the line number with the valid bit set, so a zeroed
+// way never matches.
 type coreCache struct {
 	tags    []uint64 // sets x ways
 	victim  []uint8  // per-set round-robin replacement cursor
-	gen     uint32
 	setMask uint64
 }
 
@@ -37,7 +36,6 @@ func newCoreCache(lines int) coreCache {
 	return coreCache{
 		tags:    make([]uint64, sets*cacheWays),
 		victim:  make([]uint8, sets),
-		gen:     1,
 		setMask: uint64(sets - 1),
 	}
 }
@@ -47,7 +45,7 @@ func (c *coreCache) access(addr uint64) bool {
 	line := addr >> lineShift
 	set := line & c.setMask
 	base := int(set) * cacheWays
-	entry := entryValid | uint64(c.gen)<<40 | (line & (1<<40 - 1))
+	entry := entryValid | line
 	for w := 0; w < cacheWays; w++ {
 		if c.tags[base+w] == entry {
 			return true
@@ -58,11 +56,3 @@ func (c *coreCache) access(addr uint64) bool {
 	c.victim[set] = (v + 1) % cacheWays
 	return false
 }
-
-// invalidate evicts every line in O(1) by bumping the generation.
-// Kept for experiments that model cache-hostile environments; the
-// scheduler does not call it on context switches (threads share the
-// benchmark structure, so cross-thread reuse is real).
-func (c *coreCache) invalidate() { c.gen++ }
-
-var _ = (*coreCache).invalidate

@@ -27,6 +27,7 @@ package workload
 import (
 	"fmt"
 
+	"threadscan/internal/core"
 	"threadscan/internal/simmem"
 )
 
@@ -135,6 +136,11 @@ type Scenario struct {
 	Shards    int
 	Watermark int
 	HelpFree  bool
+
+	// Lookup selects threadscan's TS-Scan membership structure:
+	// ""/"binary" (the paper's sorted binary search, §4.1), "linear",
+	// or "hash" — the A3 ablation's axis.
+	Lookup string
 
 	// Topology knobs.  Nodes groups the cores into NUMA nodes (0/1 =
 	// the flat machine); PinPolicy maps persistent workers onto them:
@@ -353,6 +359,9 @@ func (s *Scenario) Fill() error {
 	case "", "affinity", "rr":
 	default:
 		return fmt.Errorf("workload: %s: unknown claim policy %q", s.Name, s.ClaimPolicy)
+	}
+	if _, err := core.ParseLookup(s.Lookup); err != nil {
+		return fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
 	if _, err := simmem.ParsePolicy(s.AllocPolicy); err != nil {
 		return fmt.Errorf("workload: %s: %w", s.Name, err)

@@ -22,9 +22,9 @@
 //     (internal/harness).
 //
 // This package is the public facade: thin constructors and type
-// aliases over those internals.  See README.md for a tour, DESIGN.md
-// for the substitution rationale, and EXPERIMENTS.md for measured
-// results against the paper's.
+// aliases over those internals.  See README.md for a tour and the
+// substitution rationale, and its "Ablations" section for the
+// experiments behind each design claim.
 //
 // # Quick start
 //
@@ -142,7 +142,7 @@ func NewSlowEpoch(sim *Sim, batch int, delayCycles int64) Scheme {
 }
 
 // NewStackTrack returns the StackTrack-style published-live-set
-// baseline (extension; see DESIGN.md S11).
+// baseline (an extension beyond the paper's §6 comparators).
 func NewStackTrack(sim *Sim, cfg StackTrackConfig) Scheme { return reclaim.NewStackTrack(sim, cfg) }
 
 // Benchmark data structures (the paper's §6 workloads, plus the
