@@ -19,9 +19,9 @@ import (
 // simulator's own wall-clock trajectory.  It times the full scenario
 // grid and every ablation sweep on the host clock, appends one row to
 // BENCH_harness.json, and with -check fails when any section runs more
-// than 2x slower than the rolling best of the recorded trajectory — so
-// a simulator performance regression fails CI like a correctness
-// regression would.
+// than 2x slower than the rolling best of the rows recorded on the same
+// host — so a simulator performance regression fails CI like a
+// correctness regression would.
 //
 // Host time lives here deliberately: internal/harness is a simulation
 // package policed by tslint's determinism analyzer, so the only clock
@@ -31,7 +31,7 @@ func runHarnessBench(args []string) {
 	fs := flag.NewFlagSet("harness-bench", flag.ExitOnError)
 	var (
 		jsonPath = fs.String("json", "BENCH_harness.json", "trajectory file to append to")
-		check    = fs.Bool("check", false, "fail if any section runs >2x slower than the trajectory's rolling best")
+		check    = fs.Bool("check", false, "fail if any section runs >2x slower than the rolling best of the trajectory's rows from this host")
 		scale    = fs.Float64("scale", 0.25, "stretch factor for the scenario-grid section")
 		duration = fs.Float64("duration-ms", 10, "measured window for the ablation sections, in virtual milliseconds")
 		seed     = fs.Int64("seed", 1, "simulation seed")
@@ -162,17 +162,24 @@ func writeTrajectory(path string, rows []benchRow) error {
 }
 
 // checkTrajectory compares the fresh row against the rolling best (the
-// per-section minimum over the last 20 recorded rows) and reports every
-// section that ran more than 2x slower.  The minimum — not the latest
-// row — is the reference, so a slow CI host can't ratchet the budget
-// upward run over run; the generous 2x margin absorbs host-to-host
-// variance the other way.
+// per-section minimum over the last 20 rows recorded on the fresh row's
+// host) and reports every section that ran more than 2x slower.  Rows
+// from other hosts are ignored: a fast host must not set the budget of
+// a slow one, nor a slow one loosen a fast one's.  The minimum — not
+// the latest row — is the reference, so a slow run can't ratchet the
+// budget upward run over run; the 2x margin absorbs run-to-run noise.
 func checkTrajectory(prior []benchRow, fresh benchRow) error {
-	if len(prior) == 0 {
-		fmt.Fprintln(os.Stderr, "harness-bench: no prior trajectory; recording first row")
+	var window []benchRow
+	for _, r := range prior {
+		if r.Host == fresh.Host {
+			window = append(window, r)
+		}
+	}
+	if len(window) == 0 {
+		fmt.Fprintf(os.Stderr, "harness-bench: no prior rows from host %q (%d from other hosts); recording first row\n",
+			fresh.Host, len(prior))
 		return nil
 	}
-	window := prior
 	if len(window) > 20 {
 		window = window[len(window)-20:]
 	}
@@ -194,6 +201,7 @@ func checkTrajectory(prior []benchRow, fresh benchRow) error {
 	if len(regressions) > 0 {
 		return fmt.Errorf("wall-clock regression >2x:\n  %s", strings.Join(regressions, "\n  "))
 	}
-	fmt.Fprintf(os.Stderr, "harness-bench: all %d sections within 2x of rolling best\n", len(fresh.Sections))
+	fmt.Fprintf(os.Stderr, "harness-bench: all %d sections within 2x of the rolling best of %d rows from host %q\n",
+		len(fresh.Sections), len(window), fresh.Host)
 	return nil
 }

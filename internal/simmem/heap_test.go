@@ -9,15 +9,16 @@ func checkedHeap() *Heap {
 }
 
 // expectViolation runs f and asserts it panics with a *Violation of the
-// given kind.
-func expectViolation(t *testing.T, kind ViolationKind, f func()) {
+// given kind, which it returns.
+func expectViolation(t *testing.T, kind ViolationKind, f func()) (v *Violation) {
 	t.Helper()
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatalf("expected %v violation, got none", kind)
 		}
-		v, ok := r.(*Violation)
+		var ok bool
+		v, ok = r.(*Violation)
 		if !ok {
 			panic(r)
 		}
@@ -26,6 +27,7 @@ func expectViolation(t *testing.T, kind ViolationKind, f func()) {
 		}
 	}()
 	f()
+	return nil
 }
 
 func TestAllocReturnsAlignedInArena(t *testing.T) {
@@ -112,12 +114,51 @@ func TestInteriorFreeDetected(t *testing.T) {
 	expectViolation(t, VBadFree, func() { h.Free(addr + 8) })
 }
 
+// TestNilAndWildAccess pins the checked heap's classification of a bad
+// word access, for every word primitive: the exact kind, op and address,
+// and the order of kinds when several apply (nil, then unaligned, then
+// outside the arena).
 func TestNilAndWildAccess(t *testing.T) {
 	h := checkedHeap()
-	expectViolation(t, VNilDeref, func() { h.Load(0) })
-	expectViolation(t, VUnaligned, func() { h.Load(h.Base() + 3) })
-	expectViolation(t, VWildAccess, func() { h.Load(h.Limit() + 8) })
-	expectViolation(t, VWildAccess, func() { h.Load(8) })
+	freed := h.Alloc(32)
+	h.Free(freed)
+	ops := []struct {
+		name string
+		do   func(addr uint64)
+	}{
+		{"load", func(a uint64) { h.Load(a) }},
+		{"store", func(a uint64) { h.Store(a, 1) }},
+		{"cas", func(a uint64) { h.CompareAndSwap(a, 0, 1) }},
+	}
+	cases := []struct {
+		name string
+		addr uint64
+		kind ViolationKind
+	}{
+		{"nil", 0, VNilDeref},
+		{"unaligned", h.Base() + 3, VUnaligned},
+		{"unaligned-below-base", 5, VUnaligned},
+		{"unaligned-past-limit", h.Limit() + 1, VUnaligned},
+		{"below-base", h.Base() - WordSize, VWildAccess},
+		{"low-page", 8, VWildAccess},
+		{"at-limit", h.Limit(), VWildAccess},
+		{"past-limit", h.Limit() + 8, VWildAccess},
+		{"top-of-address-space", ^uint64(0) &^ (WordSize - 1), VWildAccess},
+		// The arena's last word is inside it: never allocated, so its
+		// liveness check fails rather than its bounds check.
+		{"last-word", h.Limit() - WordSize, VUseAfterFree},
+		{"use-after-free", freed, VUseAfterFree},
+	}
+	for _, op := range ops {
+		for _, c := range cases {
+			t.Run(op.name+"/"+c.name, func(t *testing.T) {
+				v := expectViolation(t, c.kind, func() { op.do(c.addr) })
+				if v.Op != op.name || v.Addr != c.addr {
+					t.Fatalf("%s(%#x): violation reports %s of %#x", op.name, c.addr, v.Op, v.Addr)
+				}
+			})
+		}
+	}
 }
 
 func TestFreePoisons(t *testing.T) {

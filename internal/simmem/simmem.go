@@ -121,6 +121,7 @@ type Stats struct {
 // Heap is a simulated word-addressable heap.
 type Heap struct {
 	cfg   Config
+	span  uint64   // arena bytes: Limit() - Base()
 	words []uint64 // the arena payload
 	state []uint32 // per-word allocation id; 0 = free (Check mode only)
 
@@ -175,6 +176,7 @@ func New(cfg Config) *Heap {
 	}
 	h := &Heap{
 		cfg:      cfg,
+		span:     uint64(cfg.Words) * WordSize,
 		words:    make([]uint64, cfg.Words),
 		pools:    make([]pool, np),
 		spanLive: make(map[uint64]int),
@@ -203,12 +205,11 @@ func New(cfg Config) *Heap {
 func (h *Heap) Base() uint64 { return h.cfg.Base }
 
 // Limit returns one past the last valid byte address.
-func (h *Heap) Limit() uint64 { return h.cfg.Base + uint64(h.cfg.Words)*WordSize }
+func (h *Heap) Limit() uint64 { return h.cfg.Base + h.span }
 
-// Contains reports whether addr falls inside the arena.
-func (h *Heap) Contains(addr uint64) bool {
-	return addr >= h.cfg.Base && addr < h.Limit()
-}
+// Contains reports whether addr falls inside the arena.  An address
+// below Base wraps past span.
+func (h *Heap) Contains(addr uint64) bool { return addr-h.cfg.Base < h.span }
 
 // Stats returns a snapshot of allocator counters.
 func (h *Heap) Stats() Stats { return h.stats }
@@ -280,18 +281,33 @@ func (h *Heap) clampNode(node int) int {
 }
 
 // wordIndex converts a byte address to an arena word index, checking
-// bounds and alignment.
+// bounds and alignment with one offset: Base is nonzero and
+// word-aligned, so nil and every address below Base wrap past span, and
+// the offset is aligned exactly when addr is.
+//
+// The failure branch only classifies and panics.  The compiler lays a
+// panicking branch out as cold, and the inliner charges a panic almost
+// nothing where it would charge a call to an out-of-line helper most of
+// its budget, so wordIndex and its classification stay inlinable.
 func (h *Heap) wordIndex(addr uint64, op string) int {
-	if addr == 0 {
-		panic(&Violation{Kind: VNilDeref, Addr: addr, Op: op})
+	off := addr - h.cfg.Base
+	if off >= h.span || off%WordSize != 0 {
+		panic(badAddr(addr, op))
 	}
-	if addr%WordSize != 0 {
-		panic(&Violation{Kind: VUnaligned, Addr: addr, Op: op})
+	return int(off / WordSize)
+}
+
+// badAddr returns the Violation for an address wordIndex rejected: nil
+// first, then unaligned, then outside the arena.
+func badAddr(addr uint64, op string) *Violation {
+	kind := VWildAccess
+	switch {
+	case addr == 0:
+		kind = VNilDeref
+	case addr%WordSize != 0:
+		kind = VUnaligned
 	}
-	if !h.Contains(addr) {
-		panic(&Violation{Kind: VWildAccess, Addr: addr, Op: op})
-	}
-	return int((addr - h.cfg.Base) / WordSize)
+	return &Violation{Kind: kind, Addr: addr, Op: op}
 }
 
 // Load reads the word at addr.  In checked mode it verifies the word

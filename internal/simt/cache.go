@@ -13,10 +13,11 @@ package simt
 // round-robin replacement tracks real L2 behaviour closely enough.
 //
 // A tag entry is the line number with the valid bit set, so a zeroed
-// way never matches.
+// way never matches.  A set's replacement cursor counts fills; its low
+// two bits name the next victim way.
 type coreCache struct {
-	tags    []uint64 // sets x ways
-	victim  []uint8  // per-set round-robin replacement cursor
+	sets    [][cacheWays]uint64 // per set, its ways' tag entries
+	victim  []uint8             // per-set round-robin replacement cursor
 	setMask uint64
 }
 
@@ -34,25 +35,26 @@ func newCoreCache(lines int) coreCache {
 		sets = 1
 	}
 	return coreCache{
-		tags:    make([]uint64, sets*cacheWays),
+		sets:    make([][cacheWays]uint64, sets),
 		victim:  make([]uint8, sets),
 		setMask: uint64(sets - 1),
 	}
 }
 
-// access touches addr and reports whether it hit.
+// access touches addr and reports whether it hit.  The probe reads the
+// set's four ways through one array view, behind a single bounds check,
+// and the whole method stays within the inlining budget.
 func (c *coreCache) access(addr uint64) bool {
-	line := addr >> lineShift
-	set := line & c.setMask
-	base := int(set) * cacheWays
-	entry := entryValid | line
-	for w := 0; w < cacheWays; w++ {
-		if c.tags[base+w] == entry {
+	entry := entryValid | addr>>lineShift
+	set := entry & c.setMask
+	ways := &c.sets[set]
+	for _, w := range ways {
+		if w == entry {
 			return true
 		}
 	}
-	v := c.victim[set]
-	c.tags[base+int(v)] = entry
-	c.victim[set] = (v + 1) % cacheWays
+	v := &c.victim[set]
+	ways[*v%cacheWays] = entry
+	*v++
 	return false
 }

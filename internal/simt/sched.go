@@ -309,6 +309,9 @@ func (s *Sim) Run() error {
 		}
 		s.coreLast[core] = t.id
 		t.core = core
+		if s.caches != nil {
+			t.ccache = &s.caches[core]
+		}
 		s.stats.Dispatches++
 
 		t.resume <- quantum{start, start + s.quantumLen()}

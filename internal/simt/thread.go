@@ -40,7 +40,8 @@ type Thread struct {
 	readyAt    int64
 	wakeAt     int64
 	core       int
-	pinned     int // NUMA node affinity; -1 = any core
+	ccache     *coreCache // core's modeled cache; nil when CacheSim is off
+	pinned     int        // NUMA node affinity; -1 = any core
 
 	// Scheduling state (owned by the scheduler and the single active
 	// party; no synchronization needed).
@@ -182,7 +183,17 @@ func (t *Thread) Charge(cost int64) { t.charge(cost) }
 // safepoint is an instruction boundary: pending signals are delivered
 // here, and the quantum is surrendered here when expired.  Between two
 // safepoints a thread runs "atomically" with respect to the simulation.
+//
+// The common case — nothing pending, quantum not expired — is the
+// inlinable check here; safepointSlow does the delivering and yielding.
 func (t *Thread) safepoint() {
+	if t.sigPending == 0 && t.now < t.quantumEnd {
+		return
+	}
+	t.safepointSlow()
+}
+
+func (t *Thread) safepointSlow() {
 	for {
 		if t.sigPending != 0 && t.sigDepth == 0 {
 			t.deliverSignals()
@@ -203,10 +214,17 @@ func (t *Thread) Safepoint() { t.safepoint() }
 // ---------------------------------------------------------------------
 // Register file.
 
+// checkReg panics unless r names a register.  The panic is built out
+// of line in badReg, which keeps checkReg and Reg inlinable.
 func (t *Thread) checkReg(r int) {
-	if r < 0 || r >= NumRegs {
-		panic(fmt.Sprintf("simt: register %d out of range", r))
+	if uint(r) >= NumRegs {
+		badReg(r)
 	}
+}
+
+//go:noinline
+func badReg(r int) {
+	panic(fmt.Sprintf("simt: register %d out of range", r))
 }
 
 // Reg returns the value of register r.
@@ -308,31 +326,48 @@ func (t *Thread) RootWords() int { return NumRegs + t.sp }
 // is a line fill; a fill whose home node differs from the accessing
 // core's node additionally pays Costs.RemoteFill (the interconnect
 // hop) and counts in SimStats.RemoteLineFills.
+//
+// On the flat machine without the cache model every access is a plain
+// fill with nothing to account, and memCost inlines to that one test.
 func (t *Thread) memCost(base int64, addr uint64) int64 {
-	fill := true
-	if t.sim.caches != nil {
-		fill = !t.sim.caches[t.core].access(addr)
-		if fill {
-			base += t.sim.cfg.Costs.MissPenalty
-		}
+	if t.ccache == nil && t.sim.topo.nodes == 1 {
+		return base
 	}
-	if fill && t.sim.topo.nodes > 1 {
-		node := t.Node()
-		if t.sim.homeOf(addr, node) != node {
-			t.sim.stats.RemoteLineFills++
-			if p := t.sim.probe; p != nil {
-				p.RemoteLineFill(t)
-			}
-			base += t.sim.cfg.Costs.RemoteFill
-			// The fill migrates ownership to the accessor's socket
-			// (see topology.go): subsequent accesses from this node
-			// are local until the other node pulls the line back.
-			t.sim.setHome(addr, 1, node)
-		} else {
-			t.sim.stats.LocalLineFills++
+	return t.modeledMemCost(base, addr)
+}
+
+// modeledMemCost is memCost through the cache model and the topology.
+func (t *Thread) modeledMemCost(base int64, addr uint64) int64 {
+	if c := t.ccache; c != nil {
+		if c.access(addr) {
+			return base
 		}
+		base += t.sim.cfg.Costs.MissPenalty
+	}
+	if t.sim.topo.nodes > 1 {
+		base += t.lineFill(addr)
 	}
 	return base
+}
+
+// lineFill accounts one line fill on a multi-node machine and returns
+// its extra cost: Costs.RemoteFill when the line's home is another
+// node, zero when it is local.
+func (t *Thread) lineFill(addr uint64) int64 {
+	node := t.Node()
+	if t.sim.homeOf(addr, node) == node {
+		t.sim.stats.LocalLineFills++
+		return 0
+	}
+	t.sim.stats.RemoteLineFills++
+	if p := t.sim.probe; p != nil {
+		p.RemoteLineFill(t)
+	}
+	// The fill migrates ownership to the accessor's socket (see
+	// topology.go): subsequent accesses from this node are local until
+	// the other node pulls the line back.
+	t.sim.setHome(addr, 1, node)
+	return t.sim.cfg.Costs.RemoteFill
 }
 
 // Touch models a memory access to addr that carries no instruction

@@ -2,6 +2,7 @@ package simt
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -29,15 +30,50 @@ func TestRegisterFile(t *testing.T) {
 	})
 }
 
+// TestRegisterBounds pins the out-of-range register contract for every
+// primitive that takes a register operand: the panic message names the
+// register, for an index below and above the file.
 func TestRegisterBounds(t *testing.T) {
 	inThread(t, func(th *Thread) {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range register access did not panic")
+		th.Alloc(0, 64) // r0: a live block for the memory primitives
+		for _, r := range []int{-1, NumRegs} {
+			want := fmt.Sprintf("simt: register %d out of range", r)
+			for _, c := range []struct {
+				name string
+				do   func()
+			}{
+				{"Reg", func() { th.Reg(r) }},
+				{"SetReg", func() { th.SetReg(r, 1) }},
+				{"CopyReg/dst", func() { th.CopyReg(r, 0) }},
+				{"CopyReg/src", func() { th.CopyReg(1, r) }},
+				{"Load/dst", func() { th.Load(r, 0, 0) }},
+				{"Load/addrReg", func() { th.Load(1, r, 0) }},
+				{"Store/addrReg", func() { th.Store(r, 0, 1) }},
+				{"Store/srcReg", func() { th.Store(0, 0, r) }},
+				{"StoreImm/addrReg", func() { th.StoreImm(r, 0, 1) }},
+				{"CAS/addrReg", func() { th.CAS(r, 0, 1, 2) }},
+				{"CAS/oldReg", func() { th.CAS(0, 0, r, 2) }},
+				{"CAS/newReg", func() { th.CAS(0, 0, 1, r) }},
+				{"CASImm/addrReg", func() { th.CASImm(r, 0, 0, 1) }},
+			} {
+				if got := panicMessage(c.do); got != want {
+					t.Errorf("%s(%d): panic %q, want %q", c.name, r, got, want)
+				}
 			}
-		}()
-		th.SetReg(NumRegs, 1)
+		}
 	})
+}
+
+// panicMessage runs f and returns what it panicked with, formatted, or
+// "" if it returned normally.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 func TestLoadStoreThroughRegisters(t *testing.T) {
