@@ -739,7 +739,7 @@ func (ts *ThreadScan) FlushAll(t *simt.Thread) int {
 	return ts.Buffered()
 }
 
-func (ts *ThreadScan) costs() simt.CostModel { return ts.sim.Config().Costs }
+func (ts *ThreadScan) costs() *simt.CostModel { return ts.sim.Costs() }
 
 // collect is TS-Collect (Algorithm 1, lines 1–16), run as a sharded
 // pipeline: aggregate into K address-sharded sub-buffers, prepare

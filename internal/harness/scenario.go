@@ -695,5 +695,8 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 	if res.VirtualSeconds > 0 {
 		res.Throughput = float64(res.Ops) / res.VirtualSeconds
 	}
+	// The result is fully assembled and holds no reference into the
+	// heap: hand the arena to the next cell of its size.
+	sim.Release()
 	return res, nil
 }

@@ -117,7 +117,7 @@ func (e *Epoch) Discipline() Discipline { return DisciplineNone }
 func (e *Epoch) BeginOp(t *simt.Thread) {
 	id := t.ID()
 	e.counters[id]++
-	t.Charge(e.sim.Config().Costs.Store)
+	t.Charge(e.sim.Costs().Store)
 }
 
 // EndOp implements Scheme: leave the epoch (counter becomes even), then
@@ -127,7 +127,7 @@ func (e *Epoch) BeginOp(t *simt.Thread) {
 // stalls every concurrent reclaimer's grace period.
 func (e *Epoch) EndOp(t *simt.Thread) {
 	id := t.ID()
-	c := e.sim.Config().Costs
+	c := e.sim.Costs()
 	due := len(e.retired[id]) >= e.cfg.Batch || len(e.orphans) >= e.cfg.Batch
 	if due && e.cfg.DelayCycles > 0 && id == e.cfg.DelayVictim {
 		e.opCount[id]++
@@ -151,7 +151,7 @@ func (e *Epoch) Protect(*simt.Thread, int, int) bool { return false }
 func (e *Epoch) Retire(t *simt.Thread, addr uint64) {
 	id := t.ID()
 	start := t.Now()
-	t.Charge(e.sim.Config().Costs.Store)
+	t.Charge(e.sim.Costs().Store)
 	e.stats.Retired++
 	e.stats.notePeak()
 	e.retired[id] = append(e.retired[id], addr&^7)
@@ -161,7 +161,7 @@ func (e *Epoch) Retire(t *simt.Thread, addr uint64) {
 // reclaim waits out one grace period and frees the batch.  Must be
 // called from a quiescent point (caller's counter even).
 func (e *Epoch) reclaim(t *simt.Thread) {
-	c := e.sim.Config().Costs
+	c := e.sim.Costs()
 	id := t.ID()
 	e.stats.ReclaimPasses++
 	e.cfg.Obs.Begin(t, obs.StageCollect)

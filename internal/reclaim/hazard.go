@@ -94,7 +94,7 @@ func (h *Hazard) BeginOp(*simt.Thread) {}
 // EndOp implements Scheme by clearing the thread's hazard slots, so
 // finished operations stop pinning nodes.
 func (h *Hazard) EndOp(t *simt.Thread) {
-	c := h.sim.Config().Costs
+	c := h.sim.Costs()
 	slots := h.slots[t.ID()]
 	for i := range slots {
 		if slots[i] != 0 {
@@ -108,7 +108,7 @@ func (h *Hazard) EndOp(t *simt.Thread) {
 // Returns true — hazard pointers require the caller to re-validate the
 // link before trusting the protected pointer.
 func (h *Hazard) Protect(t *simt.Thread, slot int, reg int) bool {
-	c := h.sim.Config().Costs
+	c := h.sim.Costs()
 	h.slots[t.ID()][slot] = t.Reg(reg) &^ 7
 	t.Charge(c.Store)
 	t.Fence()
@@ -122,7 +122,7 @@ func (h *Hazard) Protect(t *simt.Thread, slot int, reg int) bool {
 func (h *Hazard) Retire(t *simt.Thread, addr uint64) {
 	addr &^= 7
 	start := t.Now()
-	c := h.sim.Config().Costs
+	c := h.sim.Costs()
 	t.Charge(c.Store)
 	h.stats.Retired++
 	h.stats.notePeak()
@@ -137,7 +137,7 @@ func (h *Hazard) Retire(t *simt.Thread, addr uint64) {
 // scan is Michael's Scan: snapshot all hazard slots, free every retired
 // node not present, keep the rest.
 func (h *Hazard) scan(t *simt.Thread) {
-	c := h.sim.Config().Costs
+	c := h.sim.Costs()
 	h.stats.ReclaimPasses++
 	id := t.ID()
 	h.cfg.Obs.Begin(t, obs.StageCollect)

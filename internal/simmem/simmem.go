@@ -27,6 +27,13 @@
 // The heap is deliberately NOT goroutine-safe: the discrete-event
 // scheduler in package simt serializes all simulated threads, so the
 // allocator needs no locks and the whole simulation stays deterministic.
+//
+// A checked heap's backing memory outlives the heap.  New allocates the
+// arena zeroed; Release clears the pages the heap carved and hands the
+// arena back, and NewIn builds a new heap of the same size and mode on
+// it, observably identical to a fresh one.  This package only clears
+// and reuses; the cache that keeps released arenas between simulations
+// (at most one per power-of-two size) lives in package simt.
 package simmem
 
 import "fmt"
@@ -51,8 +58,9 @@ const PoisonWord = 0xDEADBEEFDEADBEEF
 // Config describes a heap instance.
 type Config struct {
 	// Words is the arena capacity in 8-byte words.  The arena is
-	// allocated up front; the simulation fails loudly if it is
-	// exhausted.  Defaults to 1<<22 (32 MiB) if zero.
+	// allocated up front, or taken from a released heap of the same
+	// size (see NewIn); the simulation fails loudly if it is exhausted.
+	// Defaults to 1<<22 (32 MiB) if zero.
 	Words int
 
 	// Base is the byte address of the first arena word.  It must be
@@ -142,12 +150,13 @@ type Heap struct {
 // remote-free pattern — the freeing thread never touches the owner's
 // central lists; the owner reclassifies the inbox on its next refill).
 type pool struct {
-	node     int
-	nextPage int // bump pointer within the region
-	endPage  int // one past the region's last page
-	central  []freeList
-	spanFree map[int][]uint64
-	remote   []uint64 // cross-node freed blocks awaiting the owner's drain
+	node      int
+	startPage int // the region's first page
+	nextPage  int // bump pointer within the region
+	endPage   int // one past the region's last page
+	central   []freeList
+	spanFree  map[int][]uint64
+	remote    []uint64 // cross-node freed blocks awaiting the owner's drain
 }
 
 const (
@@ -160,8 +169,26 @@ type freeList struct {
 	blocks []uint64 // LIFO of block base addresses
 }
 
-// New creates a heap from cfg.
-func New(cfg Config) *Heap {
+// Arena is the backing memory of a checked heap, handed from a released
+// heap to the next one of the same size (see Heap.Release and NewIn).
+// It is opaque: its words are all zero whenever a caller holds it.
+type Arena struct {
+	words []uint64
+	state []uint32
+}
+
+// Words returns the arena capacity in words.
+func (a *Arena) Words() int { return len(a.words) }
+
+// New creates a heap from cfg on a freshly allocated arena.
+func New(cfg Config) *Heap { return NewIn(cfg, nil) }
+
+// NewIn creates a heap from cfg on arena a when a has cfg's word count
+// and cfg is checked; otherwise (a nil included) it allocates a fresh
+// arena exactly as New does.  A heap on a reused arena is observably
+// identical to one on a fresh arena.  The heap takes a over: the caller
+// must not pass it to NewIn again.
+func NewIn(cfg Config, a *Arena) *Heap {
 	cfg.fill()
 	totalPages := cfg.Words / PageWords
 	np := 1
@@ -177,7 +204,6 @@ func New(cfg Config) *Heap {
 	h := &Heap{
 		cfg:      cfg,
 		span:     uint64(cfg.Words) * WordSize,
-		words:    make([]uint64, cfg.Words),
 		pools:    make([]pool, np),
 		spanLive: make(map[uint64]int),
 		pagemap:  make([]uint16, (cfg.Words+PageWords-1)/PageWords),
@@ -188,17 +214,53 @@ func New(cfg Config) *Heap {
 	}
 	for n := range h.pools {
 		h.pools[n] = pool{
-			node:     n,
-			nextPage: n * totalPages / np,
-			endPage:  (n + 1) * totalPages / np,
-			central:  make([]freeList, numClasses),
-			spanFree: make(map[int][]uint64),
+			node:      n,
+			startPage: n * totalPages / np,
+			nextPage:  n * totalPages / np,
+			endPage:   (n + 1) * totalPages / np,
+			central:   make([]freeList, numClasses),
+			spanFree:  make(map[int][]uint64),
 		}
 	}
-	if cfg.Check {
-		h.state = make([]uint32, cfg.Words)
+	switch {
+	case a != nil && cfg.Check && a.Words() == cfg.Words:
+		h.words, h.state = a.words, a.state
+	case cfg.Check:
+		h.words, h.state = make([]uint64, cfg.Words), make([]uint32, cfg.Words)
+	default:
+		h.words = make([]uint64, cfg.Words)
 	}
 	return h
+}
+
+// Release ends the heap's life and returns its arena for NewIn, cleared
+// back to zero, or nil for an unchecked heap.  Only the carved pages
+// need clearing: a checked heap rejects every access to a word without
+// a live allocation, and allocation and free write only block words, so
+// no word outside a pool's carved range [startPage, nextPage) was ever
+// written.  An unchecked heap stores anywhere in the arena, so its
+// arena is not recycled.
+//
+// Every later use of the heap panics: its span is empty, so each access
+// is a VWildAccess violation, and it has no pool to allocate from.  The
+// caller must hold no other reference to the arena's memory — no
+// simulated thread may still be running on the heap.
+func (h *Heap) Release() *Arena {
+	if h.pools == nil {
+		panic("simmem: Release of a released heap")
+	}
+	var a *Arena
+	if h.state != nil {
+		for i := range h.pools {
+			p := &h.pools[i]
+			lo, hi := p.startPage*PageWords, p.nextPage*PageWords
+			clear(h.words[lo:hi])
+			clear(h.state[lo:hi])
+		}
+		a = &Arena{words: h.words, state: h.state}
+	}
+	h.words, h.state, h.pools, h.span = nil, nil, nil, 0
+	return a
 }
 
 // Base returns the byte address of the first arena word.
@@ -405,6 +467,9 @@ func (h *Heap) allocPool(node, cls int) *pool {
 // — a pool able to serve the request; what labels the request in OOM
 // messages.
 func (h *Heap) routePool(node int, what string, ready func(p *pool, carve bool) bool) *pool {
+	if h.pools == nil {
+		panic("simmem: allocation from a released heap")
+	}
 	node = h.clampNode(node)
 	switch h.cfg.Policy {
 	case PolicyMembind:

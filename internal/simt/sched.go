@@ -3,10 +3,12 @@ package simt
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"threadscan/internal/simmem"
 )
@@ -27,6 +29,7 @@ type Sim struct {
 	live    int
 	started bool
 	done    bool
+	clean   bool // Run returned nil: no thread goroutine is left
 
 	coreFree []int64 // per-core: virtual time the core becomes free
 	coreLast []int   // per-core: last thread id dispatched (-1 none)
@@ -74,12 +77,48 @@ type SimStats struct {
 	AllocRemoteFills uint64 `json:"alloc_remote_fills,omitempty"`
 }
 
-// New creates a simulation from cfg.
+// arenas keeps released checked-heap arenas between simulations, at
+// most one per power-of-two size, indexed by log2 of the word count.
+// Reuse is invisible to a simulation (a recycled arena is cleared back
+// to zero), so which simulation gets one depends on nothing it can
+// observe; it only spares New allocating and zeroing a fresh arena.
+// The lock orders a hand-over between simulations on different
+// goroutines.
+var arenas struct {
+	mu   sync.Mutex
+	slot [64]*simmem.Arena
+}
+
+// arenaSlot returns the slot index for an arena of the given word
+// count, or -1 when the count is not a power of two.
+func arenaSlot(words int) int {
+	if words <= 0 || words&(words-1) != 0 {
+		return -1
+	}
+	return bits.Len(uint(words)) - 1
+}
+
+// takeArena removes and returns the cached arena a heap with cfg can
+// reuse, or nil.
+func takeArena(cfg simmem.Config) *simmem.Arena {
+	i := arenaSlot(cfg.Words)
+	if !cfg.Check || i < 0 {
+		return nil
+	}
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	a := arenas.slot[i]
+	arenas.slot[i] = nil
+	return a
+}
+
+// New creates a simulation from cfg.  A checked heap reuses a released
+// arena of its size when one is cached (see Release).
 func New(cfg Config) *Sim {
 	cfg.fill()
 	s := &Sim{
 		cfg:      cfg,
-		heap:     simmem.New(cfg.Heap),
+		heap:     simmem.NewIn(cfg.Heap, takeArena(cfg.Heap)),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		coreFree: make([]int64, cfg.Cores),
 		coreLast: make([]int, cfg.Cores),
@@ -107,11 +146,34 @@ func New(cfg Config) *Sim {
 	return s
 }
 
+// Release ends the simulation's use of its heap and caches a checked
+// heap's cleared arena for the next New of the same size, replacing any
+// arena already cached for that size.  Call it only after Run returned
+// nil, once nothing will read the heap again: every later heap access
+// panics.  After a failed Run, parked thread goroutines may still hold
+// the heap, so Release panics instead.
+func (s *Sim) Release() {
+	if !s.clean {
+		panic("simt: Release without a successful Run")
+	}
+	if a := s.heap.Release(); a != nil {
+		if i := arenaSlot(a.Words()); i >= 0 {
+			arenas.mu.Lock()
+			arenas.slot[i] = a
+			arenas.mu.Unlock()
+		}
+	}
+}
+
 // Heap returns the simulated heap shared by all threads.
 func (s *Sim) Heap() *simmem.Heap { return s.heap }
 
 // Config returns the (filled-in) configuration.
 func (s *Sim) Config() Config { return s.cfg }
+
+// Costs returns the cycle cost model, read-only.  Unlike Config it
+// copies nothing, so per-operation charges can read it cheaply.
+func (s *Sim) Costs() *CostModel { return &s.cfg.Costs }
 
 // Clock returns the virtual high-water mark in cycles.
 func (s *Sim) Clock() int64 { return s.clock }
@@ -346,6 +408,7 @@ func (s *Sim) Run() error {
 		}
 	}
 	s.done = true
+	s.clean = true
 	return nil
 }
 
