@@ -19,9 +19,10 @@
 //	tsbench scenarios -list                 # name every built-in scenario
 //	tsbench scenarios                       # full suite as JSON on stdout
 //	tsbench scenarios -scenario delete-storm,thread-churn -ds stack,queue
-//	tsbench scenarios -json suite.json -samples   # with footprint series
+//	tsbench scenarios -json suite.json      # results to a file, table on stderr
 //
 //	tsbench scenarios -metrics m.json       # per-series virtual-time timelines
+//	                                        # (garbage_nodes, live_words, every counter)
 //	tsbench timeline m.json                 # sparkline/table report of a metrics file
 //	tsbench metrics-diff old.json new.json  # flag steady-state drift between runs
 //

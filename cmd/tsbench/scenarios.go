@@ -40,7 +40,6 @@ func runScenarios(args []string) {
 		steal    = fs.Int("steal", 0, "threadscan per-node steal threshold in addresses (0 = default)")
 		allocPol = fs.String("allocpolicy", "", `allocator NUMA policy: "global", "localalloc", "membind", or "interleave" ("" = scenario default)`)
 		jsonPath = fs.String("json", "-", `JSON output: "-" for stdout, else a file path`)
-		samples  = fs.Bool("samples", false, "include the full footprint time series in the JSON")
 		quietTbl = fs.Bool("no-table", false, "suppress the human-readable table on stderr")
 		trace    = fs.String("trace", "", "write a Chrome trace-event JSON of every run to this file (open in chrome://tracing or Perfetto)")
 		profile  = fs.Bool("profile", false, "print a per-stage cycle-attribution profile for every run on stderr")
@@ -203,9 +202,6 @@ func runScenarios(args []string) {
 					// JSON the same shape with and without -metrics.
 					r.Metrics = nil
 				}
-				if !*samples {
-					r.Footprint.Samples = nil
-				}
 				results = append(results, r)
 				line := fmt.Sprintf("· %-20s %-8s %-10s %8.0f ops/vsec  peak-garbage %d words",
 					r.Name, r.DS, r.Scheme, r.Throughput, r.Footprint.PeakRetiredWords)
@@ -217,34 +213,26 @@ func runScenarios(args []string) {
 		}
 	}
 
-	if traceFile != nil {
-		if err := obs.WriteChromeTrace(traceFile, traceRuns); err != nil {
+	// finish writes one optional output file and closes it.
+	finish := func(f *os.File, write func(io.Writer) error) {
+		if f == nil {
+			return
+		}
+		if err := write(f); err != nil {
 			fatal(err)
 		}
-		if err := traceFile.Close(); err != nil {
-			fatal(err)
-		}
-	}
-
-	if metricsFile != nil {
-		if err := obs.WriteMetricsJSON(metricsFile, metricCells); err != nil {
-			fatal(err)
-		}
-		if err := metricsFile.Close(); err != nil {
+		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 	}
-	if metCSVFile != nil {
-		if err := obs.WriteMetricsCSV(metCSVFile, metricCells); err != nil {
-			fatal(err)
-		}
-		if err := metCSVFile.Close(); err != nil {
-			fatal(err)
-		}
-	}
+	finish(traceFile, func(w io.Writer) error { return obs.WriteChromeTrace(w, traceRuns) })
+	finish(metricsFile, func(w io.Writer) error { return obs.WriteMetricsJSON(w, metricCells) })
+	finish(metCSVFile, func(w io.Writer) error { return obs.WriteMetricsCSV(w, metricCells) })
 
 	if !*quietTbl {
-		writeScenarioTable(os.Stderr, results)
+		if err := harness.WriteScenarioTable(os.Stderr, results); err != nil {
+			fatal(err)
+		}
 	}
 
 	out := os.Stdout
@@ -368,44 +356,4 @@ func validateTopologyFlags(specs []workload.Scenario, nodes int, pin, claim stri
 		}
 	}
 	return nil
-}
-
-// writeScenarioTable renders the grid: throughput and peak unreclaimed
-// garbage per scenario x structure x scheme, with the full collect-
-// pipeline counter set — the same counters the JSON path carries, so
-// neither output is the poor relation.
-func writeScenarioTable(w io.Writer, results []harness.ScenarioResult) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scenario\tds\tscheme\tthr/cores\tnodes\talloc\tops\tops/vsec\tpeak-garbage-nodes\tpeak-garbage-words\tfinal-garbage\tchurned\tcollect-cyc\tdbl-retires\thelp-sorted\thelp-swept\tlocal-claims\tremote-claims\tremote-fills\tsweep-remote\tstolen\tovl\tremote-allocs\thome-frees\tremote-frees")
-	for _, r := range results {
-		var collectCyc int64
-		var dblRetires, helpSorted, helpSwept, localClaims, remoteClaims uint64
-		var sweepRemote, stolen, overlapped uint64
-		if r.Core != nil {
-			collectCyc = r.Core.CollectCycles
-			dblRetires = r.Core.DoubleRetires
-			helpSorted = r.Core.HelpSortedShards
-			helpSwept = r.Core.HelpSweptShards
-			localClaims = r.Core.LocalShardClaims
-			remoteClaims = r.Core.RemoteShardClaims
-			sweepRemote = r.Core.SweepRemoteFills
-			stolen = r.Core.StolenCollects + r.Core.StolenSweeps
-			overlapped = r.Core.OverlappedCollects
-		}
-		nodes := r.Nodes
-		if nodes == 0 {
-			nodes = 1
-		}
-		alloc := r.AllocPolicy
-		if alloc == "" {
-			alloc = "global"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d/%d\t%d\t%s\t%d\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			r.Name, r.DS, r.Scheme, r.Threads, r.Cores, nodes, alloc, r.Ops, r.Throughput,
-			r.Footprint.PeakRetiredNodes, r.Footprint.PeakRetiredWords,
-			r.Footprint.FinalRetiredNodes, r.ChurnWorkers, collectCyc, dblRetires,
-			helpSorted, helpSwept, localClaims, remoteClaims, r.Sim.RemoteLineFills,
-			sweepRemote, stolen, overlapped, r.Heap.RemoteAllocs, r.Heap.HomeFrees, r.Heap.RemoteFrees)
-	}
-	tw.Flush()
 }

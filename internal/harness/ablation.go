@@ -49,7 +49,8 @@ type Axis struct {
 }
 
 // A Column is one named projection of a cell's result, rendered with
-// Format.
+// Format.  A raw counter's column is counterCol(name), which takes its
+// name and reader from the counter catalogue.
 type Column struct {
 	Name   string
 	Format string
@@ -373,8 +374,8 @@ func nodeCollects(r ScenarioResult) any {
 	return strings.Join(parts, "/")
 }
 
-// Shared columns.  Columns reading r.Core belong to ablations that fix
-// threadscan as the scheme.
+// Shared columns.  Bespoke columns reading r.Core belong to ablations
+// that fix threadscan as the scheme.
 var (
 	throughputCol = Column{"throughput", "%.0f", func(r ScenarioResult) any { return r.Throughput }}
 	scenarioCol   = Column{"scenario", "%s", func(r ScenarioResult) any { return r.Name }}
@@ -397,9 +398,9 @@ var Ablations = []Ablation{
 		Columns: []Column{
 			{"buffer", "%d", func(r ScenarioResult) any { return r.Scenario.BufferSize }},
 			throughputCol,
-			{"collects", "%d", func(r ScenarioResult) any { return r.Core.Collects }},
-			{"max_master", "%d", func(r ScenarioResult) any { return r.Core.MaxMaster }},
-			{"signals", "%d", func(r ScenarioResult) any { return r.Sim.SignalsSent }},
+			counterCol("collects"),
+			counterCol("max_master"),
+			counterCol("signals_sent"),
 		},
 	},
 	{
@@ -420,8 +421,8 @@ var Ablations = []Ablation{
 			{"helpfree", "%t", func(r ScenarioResult) any { return r.Scenario.HelpFree }},
 			{"threads", "%d", func(r ScenarioResult) any { return r.Threads }},
 			throughputCol,
-			{"collects", "%d", func(r ScenarioResult) any { return r.Core.Collects }},
-			{"reclaimed", "%d", func(r ScenarioResult) any { return r.Core.Reclaimed + r.Core.HelpFreed }},
+			counterCol("collects"),
+			counterCol("reclaimed"),
 			{"handler_cyc/node", "%.1f", func(r ScenarioResult) any {
 				return perReclaimed(r.Core, r.Core.HandlerCycles)
 			}},
@@ -443,8 +444,8 @@ var Ablations = []Ablation{
 		Columns: []Column{
 			{"lookup", "%s", func(r ScenarioResult) any { return r.Scenario.Lookup }},
 			throughputCol,
-			{"handler_cycles", "%d", func(r ScenarioResult) any { return r.Core.HandlerCycles }},
-			{"scanned_words", "%d", func(r ScenarioResult) any { return r.Core.ScannedWords }},
+			counterCol("handler_cycles"),
+			counterCol("scanned_words"),
 		},
 	},
 	{
@@ -468,9 +469,9 @@ var Ablations = []Ablation{
 		Columns: []Column{
 			schemeCol,
 			throughputCol,
-			{"reclaim_passes", "%d", func(r ScenarioResult) any { return r.SchemeStats.ReclaimPasses }},
-			{"grace_wait_cycles", "%d", func(r ScenarioResult) any { return r.SchemeStats.GraceWaitCycles }},
-			{"freed", "%d", func(r ScenarioResult) any { return r.SchemeStats.Freed }},
+			counterCol("reclaim_passes"),
+			counterCol("grace_wait_cycles"),
+			counterCol("freed"),
 			{"peak_garbage", "%d", func(r ScenarioResult) any { return r.Footprint.ExactPeakRetiredNodes }},
 		},
 	},
@@ -502,11 +503,11 @@ var Ablations = []Ablation{
 			{"shards", "%d", func(r ScenarioResult) any { return r.Scenario.Shards }},
 			{"watermark", "%d", func(r ScenarioResult) any { return r.Scenario.Watermark }},
 			throughputCol,
-			{"collects", "%d", func(r ScenarioResult) any { return r.Core.Collects }},
-			{"collect_cyc", "%d", func(r ScenarioResult) any { return r.Core.CollectCycles }},
-			{"handler_cyc", "%d", func(r ScenarioResult) any { return r.Core.HandlerCycles }},
-			{"help_sorted", "%d", func(r ScenarioResult) any { return r.Core.HelpSortedShards }},
-			{"help_swept", "%d", func(r ScenarioResult) any { return r.Core.HelpSweptShards }},
+			counterCol("collects"),
+			counterCol("collect_cycles"),
+			counterCol("handler_cycles"),
+			counterCol("help_sorted_shards"),
+			counterCol("help_swept_shards"),
 			{"peak_garbage", "%d", func(r ScenarioResult) any { return r.Footprint.PeakRetiredNodes }},
 		},
 	},
@@ -524,12 +525,12 @@ var Ablations = []Ablation{
 			scenarioCol,
 			{"claim", "%s", func(r ScenarioResult) any { return r.Scenario.ClaimPolicy }},
 			throughputCol,
-			{"collects", "%d", func(r ScenarioResult) any { return r.Core.Collects }},
-			{"local_claims", "%d", func(r ScenarioResult) any { return r.Core.LocalShardClaims }},
-			{"remote_claims", "%d", func(r ScenarioResult) any { return r.Core.RemoteShardClaims }},
-			{"remote_fills", "%d", func(r ScenarioResult) any { return r.Sim.RemoteLineFills }},
-			{"help_sorted", "%d", func(r ScenarioResult) any { return r.Core.HelpSortedShards }},
-			{"help_swept", "%d", func(r ScenarioResult) any { return r.Core.HelpSweptShards }},
+			counterCol("collects"),
+			counterCol("local_shard_claims"),
+			counterCol("remote_shard_claims"),
+			counterCol("remote_line_fills"),
+			counterCol("help_sorted_shards"),
+			counterCol("help_swept_shards"),
 		},
 	},
 	{
@@ -559,12 +560,12 @@ var Ablations = []Ablation{
 				return "global/" + r.Scenario.ClaimPolicy
 			}},
 			throughputCol,
-			{"collects", "%d", func(r ScenarioResult) any { return r.Core.Collects }},
-			{"sweep-remote-fills", "%d", func(r ScenarioResult) any { return r.Core.SweepRemoteFills }},
-			{"remote-fills", "%d", func(r ScenarioResult) any { return r.Sim.RemoteLineFills }},
-			{"local-claims", "%d", func(r ScenarioResult) any { return r.Core.LocalShardClaims }},
-			{"remote-claims", "%d", func(r ScenarioResult) any { return r.Core.RemoteShardClaims }},
-			{"stolen", "%d", func(r ScenarioResult) any { return r.Core.StolenCollects + r.Core.StolenSweeps }},
+			counterCol("collects"),
+			counterCol("sweep_remote_fills"),
+			counterCol("remote_line_fills"),
+			counterCol("local_shard_claims"),
+			counterCol("remote_shard_claims"),
+			counterCol("steals"),
 			{"node-collects", "%s", nodeCollects},
 		},
 	},
@@ -600,12 +601,12 @@ var Ablations = []Ablation{
 				return "global"
 			}},
 			throughputCol,
-			{"remote-allocs", "%d", func(r ScenarioResult) any { return r.Heap.RemoteAllocs }},
-			{"alloc-remote-fills", "%d", func(r ScenarioResult) any { return r.Sim.AllocRemoteFills }},
-			{"home-frees", "%d", func(r ScenarioResult) any { return r.Heap.HomeFrees }},
-			{"remote-frees", "%d", func(r ScenarioResult) any { return r.Heap.RemoteFrees }},
-			{"sweep-remote-fills", "%d", func(r ScenarioResult) any { return r.Core.SweepRemoteFills }},
-			{"remote-fills", "%d", func(r ScenarioResult) any { return r.Sim.RemoteLineFills }},
+			counterCol("remote_allocs"),
+			counterCol("alloc_remote_fills"),
+			counterCol("home_frees"),
+			counterCol("remote_frees"),
+			counterCol("sweep_remote_fills"),
+			counterCol("remote_line_fills"),
 		},
 	},
 	{
@@ -637,9 +638,9 @@ var Ablations = []Ablation{
 				return "overlapped"
 			}},
 			{"collect-throughput", "%.0f", func(r ScenarioResult) any { return collectThroughput(r) }},
-			{"collects", "%d", func(r ScenarioResult) any { return r.Core.Collects }},
-			{"overlapped", "%d", func(r ScenarioResult) any { return r.Core.OverlappedCollects }},
-			{"stolen", "%d", func(r ScenarioResult) any { return r.Core.StolenCollects + r.Core.StolenSweeps }},
+			counterCol("collects"),
+			counterCol("overlapped_collects"),
+			counterCol("steals"),
 			{"ops-throughput", "%.0f", func(r ScenarioResult) any { return r.Throughput }},
 			{"node-collects", "%s", nodeCollects},
 		},
@@ -669,8 +670,8 @@ var Ablations = []Ablation{
 			{"exact_peak_nodes", "%d", func(r ScenarioResult) any { return r.Footprint.ExactPeakRetiredNodes }},
 			{"exact_peak_words", "%d", func(r ScenarioResult) any { return r.Footprint.ExactPeakRetiredWords }},
 			{"sampled_peak_nodes", "%d", func(r ScenarioResult) any { return r.Footprint.PeakRetiredNodes }},
-			{"freed", "%d", func(r ScenarioResult) any { return r.SchemeStats.Freed }},
-			{"pending", "%d", func(r ScenarioResult) any { return r.SchemeStats.Pending }},
+			counterCol("freed"),
+			counterCol("pending"),
 		},
 	},
 }

@@ -1,41 +1,29 @@
 package harness
 
 import (
-	"threadscan/internal/obs"
 	"threadscan/internal/reclaim"
 	"threadscan/internal/simt"
 )
 
 // Memory-footprint telemetry: the Hyaline-style robustness metric.
-// Throughput says how fast a scheme runs; the footprint time series
-// says how much retired-but-unreclaimed garbage it lets accumulate
+// Throughput says how fast a scheme runs; the footprint says how much retired-but-unreclaimed garbage it lets accumulate
 // while running — the axis on which the related work (Hyaline,
 // Crystalline) argues reclamation schemes must actually be compared.
 // A scheme with great throughput and unbounded peak garbage (Leaky is
 // the limit case) fails workloads a bounded scheme survives.
 
-// FootprintSample is one point of the time series.
-type FootprintSample struct {
-	At int64 `json:"at_cycles"` // virtual time of the sample
-
-	// LiveWords is every live allocation in the arena: structure nodes,
-	// retired-but-unreclaimed nodes, and infrastructure words.
-	LiveWords uint64 `json:"live_words"`
-
-	// RetiredNodes / RetiredWords are nodes handed to Retire and not
-	// yet returned to the allocator — the scheme's garbage at this
-	// instant (delete buffers, retire lists, orphans, leaked nodes).
-	RetiredNodes uint64 `json:"retired_nodes"`
-	RetiredWords uint64 `json:"retired_words"`
-}
-
-// Footprint is the sampled series plus its peaks.
+// Footprint is the sampled peaks of live memory and garbage.  The
+// timelines themselves are the metrics engine's garbage_nodes and
+// live_words series (Scenario.MetricsEvery).
 type Footprint struct {
 	SampleEvery int64 `json:"sample_every_cycles"`
 	NodeWords   int   `json:"node_words"` // allocator words per structure node
 
-	Samples []FootprintSample `json:"samples,omitempty"`
-
+	// Live words are every live allocation in the arena: structure
+	// nodes, retired-but-unreclaimed nodes, and infrastructure words.
+	// Retired nodes are nodes handed to Retire and not yet returned to
+	// the allocator — the scheme's garbage (delete buffers, retire
+	// lists, orphans, leaked nodes).
 	PeakLiveWords    uint64 `json:"peak_live_words"`
 	PeakRetiredNodes uint64 `json:"peak_retired_nodes"`
 	PeakRetiredWords uint64 `json:"peak_retired_words"` // peak unreclaimed garbage
@@ -45,8 +33,8 @@ type Footprint struct {
 	// free rather than on the sampling cadence — the headline
 	// robustness metric.  The sampled peaks above can only undercount
 	// it: a retire burst fully reclaimed within one SampleEvery window
-	// never appears in the series.  Zero for Leaky, whose graveyard is
-	// counted in Leaked (and in the sampled series) instead.
+	// never reaches them.  Zero for Leaky, whose graveyard is counted
+	// in Leaked (and in the sampled peaks) instead.
 	ExactPeakRetiredNodes uint64 `json:"exact_peak_retired_nodes"`
 	ExactPeakRetiredWords uint64 `json:"exact_peak_retired_words"`
 
@@ -73,37 +61,14 @@ type Footprint struct {
 // counters is host-side work (the discrete-event scheduler serializes
 // all threads, so a quiescent read is always consistent); the sampler
 // charges a token cost per sample so it occupies a core slot like a
-// real monitoring thread would.
-//
-// Storage lives in the metrics engine: the sampler pushes each point
-// into two PushedSeries — the first series migrated off ad-hoc slices
-// — and rebuilds the byte-compatible Footprint.Samples view from them
-// at teardown.  The sampling *thread* is unchanged (same spawn slot,
-// same 200-cycle charge, same cadence), so schedules and every derived
-// digest stay bit-identical to the pre-engine harness.
+// real monitoring thread would.  Its schedule — spawn slot, 200-cycle
+// charge, cadence — is part of every captured baseline; it keeps only
+// the peaks.
 type footprintSampler struct {
-	sim     *simt.Sim
-	scheme  reclaim.Scheme
-	fp      Footprint
-	stop    bool
-	garbSer *obs.PushedSeries
-	liveSer *obs.PushedSeries
-}
-
-// newFootprintSampler wires a sampler into m's registry.  A nil or
-// disabled engine (footprint telemetry predates the metrics flag and
-// is always on) gets a private one so there is a single storage path.
-func newFootprintSampler(sim *simt.Sim, scheme reclaim.Scheme, nodeWords int, every int64, m *obs.Metrics) *footprintSampler {
-	if !m.Enabled() {
-		m = obs.NewMetrics(0)
-	}
-	return &footprintSampler{
-		sim:     sim,
-		scheme:  scheme,
-		fp:      Footprint{SampleEvery: every, NodeWords: nodeWords},
-		garbSer: m.Pushed("footprint_garbage_nodes", obs.SeriesGauge),
-		liveSer: m.Pushed("footprint_live_words", obs.SeriesGauge),
-	}
+	sim    *simt.Sim
+	scheme reclaim.Scheme
+	fp     Footprint
+	stop   bool
 }
 
 // run is the sampler thread body: sample every SampleEvery cycles until
@@ -121,52 +86,27 @@ func (f *footprintSampler) run(th *simt.Thread) {
 	if f.fp.ExactPeakRetiredNodes > f.fp.PeakRetiredNodes {
 		f.fp.PeakUndercountNodes = f.fp.ExactPeakRetiredNodes - f.fp.PeakRetiredNodes
 	}
-	f.rebuildSamples()
 }
 
-// rebuildSamples materializes the legacy Footprint.Samples view from
-// the pushed series, field for field what the ad-hoc slice held.
-func (f *footprintSampler) rebuildSamples() {
-	garb, live := f.garbSer.Points(), f.liveSer.Points()
-	if len(garb) == 0 {
-		return
-	}
-	f.fp.Samples = make([]FootprintSample, len(garb))
-	for i, p := range garb {
-		retired := uint64(p.V)
-		f.fp.Samples[i] = FootprintSample{
-			At:           p.At,
-			LiveWords:    uint64(live[i].V),
-			RetiredNodes: retired,
-			RetiredWords: retired * uint64(f.fp.NodeWords),
-		}
-	}
-}
-
+// garbage reads the scheme's garbage, recording the exact peak and any
+// accounting skew (the run surfaces skew as an error).
 func (f *footprintSampler) garbage() uint64 {
 	st := f.scheme.Stats()
 	if st.PeakRetired > f.fp.ExactPeakRetiredNodes {
 		f.fp.ExactPeakRetiredNodes = st.PeakRetired
 		f.fp.ExactPeakRetiredWords = st.PeakRetired * uint64(f.fp.NodeWords)
 	}
-	if st.Freed > st.Retired {
-		// Scheme accounting skew: record it (the run surfaces it as an
-		// error) and clamp rather than wrap.
-		if skew := st.Freed - st.Retired; skew > f.fp.AccountingSkew {
-			f.fp.AccountingSkew = skew
-		}
-		return 0
+	garbage, skew := garbageNodes(st)
+	if skew > f.fp.AccountingSkew {
+		f.fp.AccountingSkew = skew
 	}
-	return st.Retired - st.Freed
+	return garbage
 }
 
 func (f *footprintSampler) sample(th *simt.Thread) {
 	th.Charge(200) // counter reads + stores
 	retired := f.garbage()
-	at := th.Now()
 	live := f.sim.Heap().Stats().LiveBytes / 8
-	f.garbSer.Put(at, float64(retired))
-	f.liveSer.Put(at, float64(live))
 	if live > f.fp.PeakLiveWords {
 		f.fp.PeakLiveWords = live
 	}

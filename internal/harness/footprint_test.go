@@ -30,7 +30,7 @@ func (s *skewScheme) Stats() reclaim.Stats {
 // ~1.8e19 and poison PeakRetiredNodes; the skew is recorded instead.
 func TestFootprintGarbageClampsUnderflow(t *testing.T) {
 	stub := &skewScheme{retired: 10, freed: 17}
-	f := newFootprintSampler(nil, stub, 8, 1000, nil)
+	f := &footprintSampler{scheme: stub, fp: Footprint{SampleEvery: 1000, NodeWords: 8}}
 	if g := f.garbage(); g != 0 {
 		t.Fatalf("garbage = %d, want 0 (clamped)", g)
 	}
@@ -58,7 +58,7 @@ func TestFootprintSamplerSurvivesSkewedScheme(t *testing.T) {
 		Heap:      simmem.Config{Words: 1 << 16},
 	})
 	stub := &skewScheme{retired: 3, freed: 5}
-	f := newFootprintSampler(sim, stub, 8, 10_000, nil)
+	f := &footprintSampler{sim: sim, scheme: stub, fp: Footprint{SampleEvery: 10_000, NodeWords: 8}}
 	sim.Spawn("sampler", f.run)
 	sim.Spawn("closer", func(th *simt.Thread) {
 		th.Work(100_000)

@@ -25,11 +25,12 @@ import (
 	"threadscan/internal/reclaim"
 	"threadscan/internal/simmem"
 	"threadscan/internal/simt"
+	"threadscan/internal/workload"
 )
 
 // Config describes one experiment (one data point).
 type Config struct {
-	DS     string // list | hash | skiplist
+	DS     string // list | hash | skiplist (or stack | queue)
 	Scheme string // any name in SchemeNames (leaky | hazard | ... | hyaline)
 
 	Threads int
@@ -289,20 +290,6 @@ func BuildScheme(sim *simt.Sim, cfg Config) (reclaim.Scheme, *core.ThreadScan, e
 		cfg.Scheme, SchemeNames())
 }
 
-// BuildSet constructs the named structure.
-func BuildSet(sim *simt.Sim, sc reclaim.Scheme, cfg Config) (ds.Set, error) {
-	switch cfg.DS {
-	case "list":
-		return ds.NewList(sim, sc, cfg.NodeBytes), nil
-	case "hash":
-		return ds.NewHashTable(sim, sc, cfg.Buckets, cfg.NodeBytes), nil
-	case "skiplist":
-		return ds.NewSkipList(sim, sc), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown data structure %q", cfg.DS)
-	}
-}
-
 // Run executes one experiment and returns its Result.
 func Run(cfg Config) (Result, error) {
 	cfg.fill()
@@ -330,7 +317,8 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	set, err := BuildSet(sim, sc, cfg)
+	target, err := buildTarget(sim, sc, &workload.Scenario{
+		DS: cfg.DS, NodeBytes: cfg.NodeBytes, Buckets: cfg.Buckets})
 	if err != nil {
 		return Result{}, err
 	}
@@ -340,7 +328,6 @@ func Run(cfg Config) (Result, error) {
 	endBar := sim.NewBarrier("measure-end", nT)
 	tearBar := sim.NewBarrier("teardown", nT)
 
-	opsPer := make([]uint64, nT)
 	startAt := make([]int64, nT)
 	finishAt := make([]int64, nT)
 
@@ -353,7 +340,7 @@ func Run(cfg Config) (Result, error) {
 			// Prefill: evenly spaced keys, striped across threads.
 			for k := i; k < cfg.Prefill; k += nT {
 				key := ds.MinKey + uint64(k)*cfg.KeyRange/uint64(cfg.Prefill)
-				set.Insert(th, key)
+				target.Apply(th, workload.OpInsert, key)
 			}
 			startBar.Await(th)
 
@@ -361,21 +348,19 @@ func Run(cfg Config) (Result, error) {
 			start := th.Now()
 			startAt[i] = start
 			deadline := start + cfg.Duration
-			ops := uint64(0)
 			for th.Now() < deadline {
 				key := ds.MinKey + uint64(rng.Int63n(int64(cfg.KeyRange)))
+				op := workload.OpLookup
 				switch r := uint64(rng.Intn(100)); {
 				case r < insThreshold:
-					set.Insert(th, key)
+					op = workload.OpInsert
 				case r < remThreshold:
-					set.Remove(th, key)
-				default:
-					set.Contains(th, key)
+					op = workload.OpRemove
 				}
-				ops++
+				target.Apply(th, op, key)
+				th.AddOps(1)
 			}
 			finishAt[i] = th.Now()
-			opsPer[i] = ops
 			endBar.Await(th)
 
 			// Teardown: drop stale references, then flush reclaim
@@ -404,8 +389,8 @@ func Run(cfg Config) (Result, error) {
 		res.Core = &st
 	}
 	var minStart, maxFinish int64
-	for i := 0; i < nT; i++ {
-		res.Ops += opsPer[i]
+	for i, th := range sim.Threads() { // the workers, in spawn order
+		res.Ops += th.Ops()
 		if i == 0 || startAt[i] < minStart {
 			minStart = startAt[i]
 		}
@@ -418,13 +403,6 @@ func Run(cfg Config) (Result, error) {
 	if res.VirtualSeconds > 0 {
 		res.Throughput = float64(res.Ops) / res.VirtualSeconds
 	}
-	switch v := set.(type) {
-	case *ds.List:
-		res.FinalSize = v.Len()
-	case *ds.HashTable:
-		res.FinalSize = v.Len()
-	case *ds.SkipList:
-		res.FinalSize = v.Len()
-	}
+	res.FinalSize = target.Size()
 	return res, nil
 }

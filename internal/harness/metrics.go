@@ -7,20 +7,17 @@ import (
 	"threadscan/internal/simt"
 )
 
-// Metrics wiring: registers the run's counter surface — scheme, core
-// pipeline, scheduler, allocator, and latency histograms — as named
-// timelines on the metrics engine.  Registration is cold-path (before
-// sim.Run); the closures built here are only *read* by the engine's
-// ticker, never charge virtual cycles, and therefore cannot perturb
-// the schedule (TestMetricsOffIsBitIdentical holds the receipt).
+// Metrics wiring: registers the run's counter surface — every entry of
+// the counter catalogue, the op total and its throughput rate, and the
+// latency histograms — as named timelines on the metrics engine.
+// Registration is cold-path (before sim.Run); the closures built here
+// are only *read* by the engine's ticker, never charge virtual cycles,
+// and therefore cannot perturb the schedule
+// (TestMetricsOffIsBitIdentical holds the receipt).
 //
 // Series names are part of the exported-metrics contract: CI's smoke
 // test and the metrics-diff baselines key on them.
 func registerScenarioMetrics(m *obs.Metrics, sim *simt.Sim, sc reclaim.Scheme, tsCore *core.ThreadScan, rec *obs.Recorder) {
-	if !m.Enabled() {
-		return
-	}
-
 	// Progress: the cumulative op total across every thread spawned so
 	// far, plus its windowed view (ops per window = throughput shape).
 	opsNow := func() uint64 {
@@ -33,40 +30,25 @@ func registerScenarioMetrics(m *obs.Metrics, sim *simt.Sim, sc reclaim.Scheme, t
 	m.Counter("ops", opsNow)
 	m.Rate("throughput", opsNow)
 
-	// Scheme garbage accounting — the bounded-footprint axis.  The
-	// gauge clamps Freed > Retired skew to zero exactly like the
-	// footprint sampler does, so the two garbage views agree.
-	m.Counter("retired", func() uint64 { return sc.Stats().Retired })
-	m.Counter("freed", func() uint64 { return sc.Stats().Freed })
-	m.Gauge("garbage_nodes", func() float64 {
-		st := sc.Stats()
-		if st.Freed > st.Retired {
-			return 0
-		}
-		return float64(st.Retired - st.Freed)
-	})
-	m.Counter("grace_waits", func() uint64 { return sc.Stats().GraceWaits })
-	m.Counter("grace_wait_cycles", func() uint64 { return uint64(sc.Stats().GraceWaitCycles) })
-
-	// Scheduler and allocator NUMA traffic.
-	m.Counter("remote_line_fills", func() uint64 { return sim.Stats().RemoteLineFills })
-	m.Counter("alloc_remote_fills", func() uint64 { return sim.Stats().AllocRemoteFills })
-	m.Gauge("live_words", func() float64 { return float64(sim.Heap().Stats().LiveBytes / 8) })
-	m.Counter("remote_allocs", func() uint64 { return sim.Heap().Stats().RemoteAllocs })
-	m.Counter("remote_frees", func() uint64 { return sim.Heap().Stats().RemoteFrees })
-
-	// ThreadScan pipeline counters (absent for epoch/hazard/leaky...).
-	if tsCore != nil {
-		m.Counter("collects", func() uint64 { return tsCore.Stats().Collects })
-		m.Counter("watermark_collects", func() uint64 { return tsCore.Stats().WatermarkCollects })
-		m.Counter("steals", func() uint64 {
+	// Every catalogue entry, read off a fresh snapshot of the sources.
+	now := func() RunStats {
+		s := RunStats{SchemeStats: sc.Stats(), Sim: sim.Stats(), Heap: sim.Heap().Stats()}
+		if tsCore != nil {
 			st := tsCore.Stats()
-			return st.StolenCollects + st.StolenSweeps
-		})
-		m.Counter("overlapped_collects", func() uint64 { return tsCore.Stats().OverlappedCollects })
-		m.Counter("local_shard_claims", func() uint64 { return tsCore.Stats().LocalShardClaims })
-		m.Counter("remote_shard_claims", func() uint64 { return tsCore.Stats().RemoteShardClaims })
-		m.Counter("sweep_remote_fills", func() uint64 { return tsCore.Stats().SweepRemoteFills })
+			s.Core = &st
+		}
+		return s
+	}
+	for _, c := range counters {
+		if c.core && tsCore == nil {
+			continue // the ThreadScan pipeline is absent
+		}
+		read := func() uint64 { return c.of(now()) }
+		if c.gauge {
+			m.Gauge(c.name, func() float64 { return float64(read()) })
+		} else {
+			m.Counter(c.name, read)
+		}
 	}
 
 	// Windowed latency quantiles from the recorder's cumulative per-op

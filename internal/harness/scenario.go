@@ -8,6 +8,8 @@ package harness
 
 import (
 	"fmt"
+	"io"
+	"text/tabwriter"
 	"time"
 
 	"threadscan/internal/core"
@@ -86,8 +88,9 @@ type ScenarioResult struct {
 	Footprint Footprint `json:"footprint"`
 
 	// Metrics carries every named timeline the metrics engine sampled:
-	// one Series of (vcycle, value) points per registered source, in
-	// registration order, with steady-window digests precomputed.
+	// one Series of (vcycle, value) points per registered source,
+	// grouped by kind in registration order, with steady-window digests
+	// precomputed.
 	// Present only when Scenario.MetricsEvery enabled the engine —
 	// sampling reads host-side state on clock ticks and never charges
 	// virtual cycles, so every other field is identical either way.
@@ -100,10 +103,7 @@ type ScenarioResult struct {
 	// with or without it.
 	Latency *obs.Summary `json:"latency"`
 
-	SchemeStats reclaim.Stats `json:"scheme_stats"`
-	Core        *core.Stats   `json:"threadscan_stats,omitempty"`
-	Sim         simt.SimStats `json:"sim_stats"`
-	Heap        simmem.Stats  `json:"heap_stats"`
+	RunStats // the counter sources every catalogue entry reads
 
 	WallTime time.Duration `json:"-"`
 }
@@ -476,13 +476,12 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		return ScenarioResult{}, err
 	}
 
-	// The metrics engine is always constructed — the footprint sampler
-	// stores its series through it — but the virtual-time ticker and
-	// the polled counter surface only attach when the scenario asked
-	// for timelines.  Ticking happens on the scheduler's clock-advance
-	// hook: host-side reads between thread quanta, zero virtual cost.
-	met := obs.NewMetrics(spec.MetricsEvery)
+	// The metrics engine exists only when the scenario asked for
+	// timelines.  Ticking happens on the scheduler's clock-advance hook:
+	// host-side reads between thread quanta, zero virtual cost.
+	var met *obs.Metrics
 	if spec.MetricsEvery > 0 {
+		met = obs.NewMetrics(spec.MetricsEvery)
 		registerScenarioMetrics(met, sim, sc, tsCore, rec)
 		sim.OnClockAdvance(met.Tick)
 	}
@@ -500,7 +499,7 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		ledgers:  make(map[int]*workload.ValueLedger),
 		mixOf:    make(map[int]*workload.Mix),
 		stalls:   make(map[int]bool),
-		sampler:  newFootprintSampler(sim, sc, nodeWords, spec.SampleEvery, met),
+		sampler:  &footprintSampler{sim: sim, scheme: sc, fp: Footprint{SampleEvery: spec.SampleEvery(), NodeWords: nodeWords}},
 	}
 	var cum int64
 	for _, p := range spec.Phases {
@@ -617,14 +616,10 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		LeakedRegistrations: -1,
 		Latency:             rec.Summary(),
 		Footprint:           r.sampler.fp,
-		SchemeStats:         sc.Stats(),
-		Sim:                 sim.Stats(),
-		Heap:                sim.Heap().Stats(),
+		RunStats:            RunStats{SchemeStats: sc.Stats(), Sim: sim.Stats(), Heap: sim.Heap().Stats()},
 		FinalSize:           target.Size(),
 		WallTime:            wallSince(wallStart),
-	}
-	if spec.MetricsEvery > 0 {
-		res.Metrics = met.Series()
+		Metrics:             met.Series(),
 	}
 	if tsCore != nil {
 		st := tsCore.Stats()
@@ -699,4 +694,35 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 	// heap: hand the arena to the next cell of its size.
 	sim.Release()
 	return res, nil
+}
+
+// WriteScenarioTable renders a scenario grid as an aligned text table:
+// throughput and peak unreclaimed garbage per scenario x structure x
+// scheme, then every counter of the catalogue under its series name —
+// the same counters the JSON and metrics outputs carry.
+func WriteScenarioTable(w io.Writer, results []ScenarioResult) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprint(tw, "scenario\tds\tscheme\tthr/cores\tnodes\talloc\tops\tops/vsec\tpeak-garbage-nodes\tpeak-garbage-words\tchurned")
+	for _, c := range counters {
+		fmt.Fprintf(tw, "\t%s", c.name)
+	}
+	fmt.Fprintln(tw)
+	for _, r := range results {
+		nodes := r.Nodes
+		if nodes == 0 {
+			nodes = 1
+		}
+		alloc := r.AllocPolicy
+		if alloc == "" {
+			alloc = "global"
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d/%d\t%d\t%s\t%d\t%.0f\t%d\t%d\t%d",
+			r.Name, r.DS, r.Scheme, r.Threads, r.Cores, nodes, alloc, r.Ops, r.Throughput,
+			r.Footprint.PeakRetiredNodes, r.Footprint.PeakRetiredWords, r.ChurnWorkers)
+		for _, c := range counters {
+			fmt.Fprintf(tw, "\t%d", c.of(r.RunStats))
+		}
+		fmt.Fprintln(tw)
+	}
+	return tw.Flush()
 }

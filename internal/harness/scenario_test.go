@@ -31,15 +31,17 @@ func TestRunScenarioBasics(t *testing.T) {
 		for _, scheme := range []string{"leaky", "epoch", "threadscan"} {
 			ds, scheme := ds, scheme
 			t.Run(ds+"/"+scheme, func(t *testing.T) {
-				r, err := RunScenario(tinyScenario(ds, scheme))
+				spec := tinyScenario(ds, scheme)
+				spec.MetricsEvery = -1 // the footprint cadence
+				r, err := RunScenario(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if r.Ops == 0 || r.Throughput <= 0 {
 					t.Fatalf("empty result: ops=%d tput=%f", r.Ops, r.Throughput)
 				}
-				if len(r.Footprint.Samples) < 4 {
-					t.Fatalf("footprint barely sampled: %d points", len(r.Footprint.Samples))
+				if n := len(findSeries(t, r.Metrics, "garbage_nodes").Points); n < 4 {
+					t.Fatalf("footprint barely sampled: %d points", n)
 				}
 				st := r.SchemeStats
 				if scheme == "leaky" {

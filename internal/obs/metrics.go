@@ -3,8 +3,8 @@
 // sampled on virtual-clock boundaries at a configurable interval.
 //
 // The engine shares the recorder's zero-cost contract, twice over.  A
-// nil or disabled *Metrics makes every hot call (Tick, Put, Latest…) a
-// guarded no-op that allocates nothing.  And an *enabled* engine never
+// nil or disabled *Metrics makes every call (registration, Tick,
+// Series) a guarded no-op that allocates nothing.  And an *enabled* engine never
 // charges virtual cycles: sampling is host-side reading driven by the
 // scheduler's clock-advance hook (simt.Sim.OnClockAdvance), so
 // attaching one cannot perturb a simulation's schedule, clock, or op
@@ -17,12 +17,8 @@
 // advance through the same virtual times produce identical timelines
 // regardless of event granularity.
 //
-// The engine is built for two consumers.  Post-run, Series() exports
-// every timeline for JSON/CSV, the sparkline report, and the cross-run
-// regression differ (DiffMetrics).  In-run, a controller can subscribe
-// to the latest window — Latest/LatestDelta/SlopeOver read the newest
-// points without copying — which is the substrate the adaptive-
-// controller roadmap item consumes.
+// Post-run, Series() exports every timeline for JSON/CSV, the
+// sparkline report, and the cross-run regression differ (DiffMetrics).
 package obs
 
 // SeriesKind types a metric series.
@@ -82,62 +78,13 @@ type Series struct {
 	SteadySlope float64 `json:"steady_slope"`
 }
 
-// counterSource / gaugeSource / rateSource are polled scalar sources.
-type counterSource struct {
-	name string
-	read func() uint64
-	pts  []Point
-}
-
-type gaugeSource struct {
-	name string
-	read func() float64
-	pts  []Point
-}
-
-type rateSource struct {
-	name string
-	read func() uint64
-	prev uint64
-	pts  []Point
-}
-
-// quantSource is a polled windowed-quantile source: read fills a
-// cumulative histogram, and each sample digests the delta against the
-// previous window's snapshot.  The two Hist values are embedded (not
-// pointers) so snapshotting is an array copy, never an allocation.
-type quantSource struct {
-	name      string
-	q         float64
-	read      func(*Hist)
-	cur, prev Hist
-	pts       []Point
-}
-
-// PushedSeries is a series fed by instrument code at its own cadence
-// instead of the engine's ticker — the footprint sampler's series are
-// the first migrated user.  A nil *PushedSeries (from a disabled
-// engine) makes Put a one-comparison no-op.
-type PushedSeries struct {
+// source is one polled series: each sample stores read()'s value for
+// the window just closed.
+type source struct {
 	name string
 	kind SeriesKind
+	read func() float64
 	pts  []Point
-}
-
-// Put appends one sample.  Hot path: guarded, allocation-shape-free.
-func (p *PushedSeries) Put(at int64, v float64) {
-	if p == nil {
-		return
-	}
-	p.pts = append(p.pts, Point{at, v})
-}
-
-// Points returns the samples recorded so far (no copy).
-func (p *PushedSeries) Points() []Point {
-	if p == nil {
-		return nil
-	}
-	return p.pts
 }
 
 // Metrics is the engine: a registry of sources sampled at Every-cycle
@@ -151,37 +98,24 @@ type Metrics struct {
 	enabled bool
 	every   int64
 	nextAt  int64
-	ticks   int
-
-	counters []*counterSource
-	gauges   []*gaugeSource
-	rates    []*rateSource
-	quants   []*quantSource
-	pushed   []*PushedSeries
+	sources []*source
 }
 
 // NewMetrics returns an enabled engine sampling every `every` virtual
-// cycles.  every <= 0 disables the ticker (Tick becomes a no-op) but
-// keeps pushed series working — the footprint-only configuration.
+// cycles.  every <= 0 disables the ticker (Tick becomes a no-op).
 func NewMetrics(every int64) *Metrics {
-	m := &Metrics{enabled: true, every: every, nextAt: every}
-	return m
-}
-
-// Enabled reports whether the engine records anything.
-func (m *Metrics) Enabled() bool { return m != nil && m.enabled }
-
-// Every returns the sampling interval in virtual cycles (0 when the
-// ticker is off).
-func (m *Metrics) Every() int64 {
-	if m == nil || !m.enabled {
-		return 0
-	}
-	return m.every
+	return &Metrics{enabled: true, every: every, nextAt: every}
 }
 
 // ---------------------------------------------------------------------
 // Registration (cold path — runs once at setup, before Sim.Run).
+
+func (m *Metrics) add(name string, kind SeriesKind, read func() float64) {
+	if m == nil || !m.enabled {
+		return
+	}
+	m.sources = append(m.sources, &source{name: name, kind: kind, read: read})
+}
 
 // Counter registers a cumulative total; read must be monotone
 // non-decreasing for the derived deltas to mean anything.
@@ -189,15 +123,12 @@ func (m *Metrics) Counter(name string, read func() uint64) {
 	if m == nil || !m.enabled {
 		return
 	}
-	m.counters = append(m.counters, &counterSource{name: name, read: read})
+	m.add(name, SeriesCounter, func() float64 { return float64(read()) })
 }
 
 // Gauge registers an instantaneous level.
 func (m *Metrics) Gauge(name string, read func() float64) {
-	if m == nil || !m.enabled {
-		return
-	}
-	m.gauges = append(m.gauges, &gaugeSource{name: name, read: read})
+	m.add(name, SeriesGauge, read)
 }
 
 // Rate registers a windowed delta over a cumulative total: each sample
@@ -208,30 +139,32 @@ func (m *Metrics) Rate(name string, read func() uint64) {
 	if m == nil || !m.enabled {
 		return
 	}
-	m.rates = append(m.rates, &rateSource{name: name, read: read, prev: read()})
+	prev := read()
+	m.add(name, SeriesRate, func() float64 {
+		v := read()
+		d := v - prev
+		prev = v
+		return float64(d)
+	})
 }
 
 // Quantile registers a windowed histogram quantile.  read must *fill*
 // the passed histogram with the cumulative distribution so far (it is
 // Reset before every call); each sample digests only the window's
-// delta against the previous snapshot.
+// delta against the previous snapshot.  The two snapshots are values,
+// not pointers, so taking one is an array copy, never an allocation.
 func (m *Metrics) Quantile(name string, q float64, read func(*Hist)) {
 	if m == nil || !m.enabled {
 		return
 	}
-	m.quants = append(m.quants, &quantSource{name: name, q: q, read: read})
-}
-
-// Pushed registers a series fed by instrument code (Put) rather than
-// the ticker.  Returns nil on a disabled engine, which makes every Put
-// through the handle a no-op.
-func (m *Metrics) Pushed(name string, kind SeriesKind) *PushedSeries {
-	if m == nil || !m.enabled {
-		return nil
-	}
-	p := &PushedSeries{name: name, kind: kind}
-	m.pushed = append(m.pushed, p)
-	return p
+	var cur, prev Hist
+	m.add(name, SeriesQuantile, func() float64 {
+		cur.Reset()
+		read(&cur)
+		v := deltaQuantile(&cur, &prev, q)
+		prev = cur
+		return float64(v)
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -250,32 +183,16 @@ func (m *Metrics) Tick(now int64) {
 	for now >= m.nextAt {
 		m.sample(m.nextAt)
 		m.nextAt += m.every
-		m.ticks++
 	}
 }
 
-// sample takes one row across every polled source.
+// sample takes one row across every source.
 func (m *Metrics) sample(at int64) {
 	if m == nil || !m.enabled {
 		return
 	}
-	for _, c := range m.counters {
-		c.pts = append(c.pts, Point{at, float64(c.read())})
-	}
-	for _, g := range m.gauges {
-		g.pts = append(g.pts, Point{at, g.read()})
-	}
-	for _, r := range m.rates {
-		v := r.read()
-		r.pts = append(r.pts, Point{at, float64(v - r.prev)})
-		r.prev = v
-	}
-	for _, qs := range m.quants {
-		qs.cur.Reset()
-		qs.read(&qs.cur)
-		v := deltaQuantile(&qs.cur, &qs.prev, qs.q)
-		qs.prev = qs.cur
-		qs.pts = append(qs.pts, Point{at, float64(v)})
+	for _, src := range m.sources {
+		src.pts = append(src.pts, Point{at, src.read()})
 	}
 }
 
@@ -313,133 +230,20 @@ func deltaQuantile(cur, prev *Hist, q float64) int64 {
 	return cur.max
 }
 
-// ---------------------------------------------------------------------
-// In-run consumption (the controller-facing window reads).
-
-// Ticks returns the number of completed sample rows.
-func (m *Metrics) Ticks() int {
-	if m == nil || !m.enabled {
-		return 0
-	}
-	return m.ticks
-}
-
-// Latest returns the newest point of the named series (polled sources
-// and pushed series alike) and whether the series exists and has one.
-func (m *Metrics) Latest(name string) (Point, bool) {
-	if m == nil || !m.enabled {
-		return Point{}, false
-	}
-	pts := m.points(name)
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	return pts[len(pts)-1], true
-}
-
-// LatestDelta returns the change of the named series across its newest
-// window: the last delta for counters, the last point's value for
-// rates/gauges/quantiles.  False when fewer than one window completed.
-func (m *Metrics) LatestDelta(name string) (float64, bool) {
-	if m == nil || !m.enabled {
-		return 0, false
-	}
-	for _, c := range m.counters {
-		if c.name != name {
-			continue
-		}
-		n := len(c.pts)
-		if n == 0 {
-			return 0, false
-		}
-		if n == 1 {
-			return c.pts[0].V, true
-		}
-		return c.pts[n-1].V - c.pts[n-2].V, true
-	}
-	pts := m.points(name)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	return pts[len(pts)-1].V, true
-}
-
-// SlopeOver returns the least-squares slope (value per million cycles)
-// of the named series' last windows points — the "footprint slope"
-// observable an adaptive controller regulates on.  False when fewer
-// than two points exist.
-func (m *Metrics) SlopeOver(name string, windows int) (float64, bool) {
-	if m == nil || !m.enabled {
-		return 0, false
-	}
-	pts := m.points(name)
-	if len(pts) > windows && windows > 0 {
-		pts = pts[len(pts)-windows:]
-	}
-	if len(pts) < 2 {
-		return 0, false
-	}
-	return slopeOf(pts), true
-}
-
-// points finds the named series' raw points.  Linear scan in
-// registration order: the registry is small and deterministic, and a
-// map would put ordering at the mercy of iteration order.
-func (m *Metrics) points(name string) []Point {
-	if m == nil || !m.enabled {
-		return nil
-	}
-	for _, c := range m.counters {
-		if c.name == name {
-			return c.pts
-		}
-	}
-	for _, g := range m.gauges {
-		if g.name == name {
-			return g.pts
-		}
-	}
-	for _, r := range m.rates {
-		if r.name == name {
-			return r.pts
-		}
-	}
-	for _, qs := range m.quants {
-		if qs.name == name {
-			return qs.pts
-		}
-	}
-	for _, p := range m.pushed {
-		if p.name == name {
-			return p.pts
-		}
-	}
-	return nil
-}
-
 // Series exports every timeline in deterministic order: counters,
-// gauges, rates, quantiles, then pushed series, each group in
-// registration order.  Steady-window digests are computed here, on the
-// cold path.
+// gauges, rates, then quantiles, each group in registration order.
+// Steady-window digests are computed here, on the cold path.
 func (m *Metrics) Series() []Series {
 	if m == nil || !m.enabled {
 		return nil
 	}
 	var out []Series
-	for _, c := range m.counters {
-		out = append(out, finishSeries(c.name, SeriesCounter, c.pts))
-	}
-	for _, g := range m.gauges {
-		out = append(out, finishSeries(g.name, SeriesGauge, g.pts))
-	}
-	for _, r := range m.rates {
-		out = append(out, finishSeries(r.name, SeriesRate, r.pts))
-	}
-	for _, qs := range m.quants {
-		out = append(out, finishSeries(qs.name, SeriesQuantile, qs.pts))
-	}
-	for _, p := range m.pushed {
-		out = append(out, finishSeries(p.name, p.kind, p.pts))
+	for kind := SeriesKind(0); kind < numSeriesKinds; kind++ {
+		for _, src := range m.sources {
+			if src.kind == kind {
+				out = append(out, finishSeries(src.name, kind, src.pts))
+			}
+		}
 	}
 	return out
 }

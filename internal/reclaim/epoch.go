@@ -248,6 +248,5 @@ func (e *Epoch) pending() uint64 {
 func (e *Epoch) Stats() Stats {
 	s := e.stats
 	s.Pending = e.pending()
-	s.MaxPauseCycles = e.cfg.Obs.MaxPause()
 	return s
 }

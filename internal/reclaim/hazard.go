@@ -203,8 +203,7 @@ func (h *Hazard) pending() uint64 {
 	return n
 }
 
-// Stats implements Scheme.  MaxPauseCycles stays zero even with a
-// recorder attached: hazard scans never block on other threads.
+// Stats implements Scheme.
 func (h *Hazard) Stats() Stats {
 	s := h.stats
 	s.Pending = h.pending()

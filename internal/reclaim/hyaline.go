@@ -281,6 +281,5 @@ func (h *Hyaline) pending() uint64 {
 func (h *Hyaline) Stats() Stats {
 	s := h.stats
 	s.Pending = h.pending()
-	s.MaxPauseCycles = h.cfg.Obs.MaxPause()
 	return s
 }

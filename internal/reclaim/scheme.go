@@ -118,16 +118,11 @@ type Stats struct {
 	// PeakRetired is the exact running maximum of retired-but-unfreed
 	// nodes, updated at every Retire and free — the Hyaline-style
 	// robustness metric.  Unlike the footprint sampler's peak it cannot
-	// alias between sample instants (a burst reclaimed within one
-	// SampleEvery window still registers).  Zero for Leaky, whose
-	// graveyard is counted in Leaked instead.
+	// alias between sample instants (a burst reclaimed between two of
+	// the sampler's reads, Scenario.SampleEvery apart, still
+	// registers).  Zero for Leaky, whose graveyard is counted in Leaked
+	// instead.
 	PeakRetired uint64
-
-	// MaxPauseCycles is the longest any thread spent blocked in a scan
-	// handler, at the scan-barrier handshake, or in a grace-period wait.
-	// Populated only when the scheme was built with an obs.Recorder
-	// (zero otherwise, and always zero for Leaky — it never blocks).
-	MaxPauseCycles int64
 }
 
 // notePeak records the current retired-minus-freed backlog into

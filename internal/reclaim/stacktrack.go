@@ -260,6 +260,5 @@ func (st *StackTrack) pending() uint64 {
 func (st *StackTrack) Stats() Stats {
 	s := st.stats
 	s.Pending = st.pending()
-	s.MaxPauseCycles = st.cfg.Obs.MaxPause()
 	return s
 }

@@ -73,11 +73,10 @@ func (s *ThreadScan) Flush(t *simt.Thread) int {
 func (s *ThreadScan) Stats() Stats {
 	c := s.ts.Stats()
 	return Stats{
-		Retired:        c.Frees,
-		PeakRetired:    s.stats.PeakRetired,
-		MaxPauseCycles: s.obs.MaxPause(),
-		Freed:          c.Reclaimed + c.HelpFreed + c.DoubleRetires,
-		Pending:        uint64(s.ts.Buffered()),
-		ReclaimPasses:  c.Collects,
+		Retired:       c.Frees,
+		PeakRetired:   s.stats.PeakRetired,
+		Freed:         c.Reclaimed + c.HelpFreed + c.DoubleRetires,
+		Pending:       uint64(s.ts.Buffered()),
+		ReclaimPasses: c.Collects,
 	}
 }

@@ -247,17 +247,16 @@ type Scenario struct {
 	OpsPerWorker int
 
 	// Simulator knobs (0 = defaults).
-	Quantum     int64
-	HeapWords   int
-	SampleEvery int64 // footprint sampling interval (0 = duration/64)
+	Quantum   int64
+	HeapWords int
 
 	// MetricsEvery is the metrics-engine sampling interval in virtual
 	// cycles: every timeline series gets one point per interval.  0
 	// leaves the engine off (the default — results stay byte-identical
 	// to pre-metrics runs), -1 resolves to the footprint cadence
-	// (SampleEvery after its default), and any positive value is used
-	// as-is.  Sampling reads host-side state only, so enabling it never
-	// changes ops, cycles, or trace hashes.
+	// (SampleEvery), and any positive value is used as-is.  Sampling
+	// reads host-side state only, so enabling it never changes ops,
+	// cycles, or trace hashes.
 	MetricsEvery int64
 
 	// Chaos enables the scheduler's seeded adversarial mode: eligible
@@ -275,6 +274,15 @@ func (s *Scenario) TotalDuration() int64 {
 		d += p.Duration
 	}
 	return d
+}
+
+// SampleEvery is the footprint sampler's cadence: a 64th of the
+// measured window, at least one cycle.
+func (s *Scenario) SampleEvery() int64 {
+	if every := s.TotalDuration() / 64; every > 0 {
+		return every
+	}
+	return 1
 }
 
 // PhaseWindow is one phase's absolute virtual-time window relative to
@@ -396,14 +404,8 @@ func (s *Scenario) Fill() error {
 			s.StallKind = "work"
 		}
 	}
-	if s.SampleEvery <= 0 {
-		s.SampleEvery = s.TotalDuration() / 64
-		if s.SampleEvery < 1 {
-			s.SampleEvery = 1
-		}
-	}
 	if s.MetricsEvery < 0 {
-		s.MetricsEvery = s.SampleEvery
+		s.MetricsEvery = s.SampleEvery()
 	}
 	return nil
 }
@@ -431,7 +433,7 @@ func (s *Scenario) WorkerGroupMix(i int) *Mix {
 }
 
 // Scale multiplies every duration-like knob by f (phase durations,
-// churn stagger/life, sampling interval, stall length), returning the
+// churn stagger/life, metrics interval, stall length), returning the
 // scaled copy.
 // Use it to stretch the quick-scale builtins toward paper-length runs.
 func (s Scenario) Scale(f float64) Scenario {
@@ -446,9 +448,6 @@ func (s Scenario) Scale(f float64) Scenario {
 		c.Stagger = int64(float64(c.Stagger) * f)
 		c.Life = int64(float64(c.Life) * f)
 		s.Churn = &c
-	}
-	if s.SampleEvery > 0 {
-		s.SampleEvery = int64(float64(s.SampleEvery) * f)
 	}
 	if s.MetricsEvery > 0 {
 		s.MetricsEvery = int64(float64(s.MetricsEvery) * f)

@@ -23,7 +23,7 @@ func TestScenarioFillValidates(t *testing.T) {
 	if err := s.Fill(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TotalDuration() <= 0 || len(s.Phases) == 0 || s.SampleEvery <= 0 {
+	if s.TotalDuration() <= 0 || len(s.Phases) == 0 || s.SampleEvery() <= 0 {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 	bad := Scenario{Phases: []Phase{{Mix: Mix{InsertPct: 80, RemovePct: 40}}}}

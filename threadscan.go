@@ -254,10 +254,8 @@ type (
 	// ScenarioResult is one scenario outcome: throughput, op-trace
 	// digest, and footprint telemetry.
 	ScenarioResult = harness.ScenarioResult
-	// Footprint is the sampled memory-robustness time series.
+	// Footprint holds the sampled memory-robustness peaks.
 	Footprint = harness.Footprint
-	// FootprintSample is one point of that series.
-	FootprintSample = harness.FootprintSample
 )
 
 // Key distribution kinds.
@@ -338,11 +336,13 @@ func WriteProfile(w io.Writer, label string, rec *Recorder) error {
 }
 
 // Virtual-time metrics engine (internal/obs): named counter/gauge/rate/
-// quantile timelines sampled on virtual-clock ticks.  Set
-// Scenario.MetricsEvery (-1 for the footprint cadence) and every
-// ScenarioResult carries the run's series; like the Recorder, sampling
-// never charges virtual cycles, so results are bit-identical with
-// metrics on or off.
+// quantile timelines sampled on virtual-clock ticks.  Scenario.MetricsEvery
+// is the one sampling knob: set it (-1 for the footprint cadence,
+// Scenario.SampleEvery) and every ScenarioResult carries the run's
+// series, including the garbage_nodes and live_words timelines; leave
+// it 0 and no engine is built.  Like the Recorder, sampling never
+// charges virtual cycles, so results are bit-identical with metrics on
+// or off.
 type (
 	// Metrics is a per-run metrics registry and its sampled timelines.
 	// A nil or zero-value Metrics is disabled and allocates nothing.
