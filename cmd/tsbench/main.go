@@ -67,7 +67,7 @@ func main() {
 		threads  = flag.String("threads", "", "comma-separated thread counts (sweeps) or count (-single)")
 		cores    = flag.Int("cores", 0, "virtual cores (0 = per-scale default)")
 		duration = flag.Float64("duration-ms", 50, "measured window per point, in virtual milliseconds")
-		quantum  = flag.Float64("quantum-us", 0, "scheduler timeslice in virtual microseconds (0 = default 200)")
+		quantum  = flag.Float64("quantum-us", 0, "scheduler timeslice in virtual microseconds (0 = default: 125 for -fig and -ablation at quick scale, 1000 at paper scale except ablations over builtin scenarios, which keep the scenario's 125; 200, the simulator's, for -single)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		cacheSim = flag.Bool("cache", true, "enable the per-core cache model")
 		csvPath  = flag.String("csv", "", "also write figure results as CSV to this file")

@@ -35,9 +35,12 @@
 // charges to the paper's serial collect.
 //
 // On a multi-node topology, Config.PerNode restructures the pipeline
-// once more (see pernode.go): retirements are routed to per-node shard
-// groups at Free time and each node runs its own reclaimer over its own
-// group, with a cross-node handshake only at the scan barrier.
+// once more: retirements are routed to per-node sub-buffers at Free
+// time (pernode.go), and each node runs its own reclaimer over its own
+// shard group through its own collect slot (overlap.go), with a
+// cross-node handshake only at the scan barrier.  Collects on different
+// nodes overlap; Config.SerializeCollects shares one slot among all
+// nodes, so the same pipeline runs one collect at a time.
 package core
 
 import (
@@ -188,13 +191,14 @@ type Config struct {
 	// BufferSize x the node's core count).
 	StealThreshold int
 
-	// SerializeCollects forces per-node collects back onto one
-	// machine-wide reclamation lock — the pre-overlap pipeline, kept as
-	// the A9 ablation's control.  By default (false) PerNode collects on
-	// different nodes run truly concurrently: each node's reclaimer owns
-	// a per-node collect slot, handshake, and shard group (see
-	// overlap.go), and the only cross-node rendezvous is the scan
-	// barrier.  Irrelevant when PerNode is off.
+	// SerializeCollects makes every node's collect slot one shared
+	// slot, so at most one PerNode collect is in flight machine-wide —
+	// the paper's one-reclaimer-at-a-time rule, kept as the A9
+	// ablation's control.  The pipeline is otherwise the same (see
+	// overlap.go): each node keeps its own handshake, shard group and
+	// sweep lists.  By default (false) each node has its own slot and
+	// collects on different nodes overlap.  Irrelevant when PerNode is
+	// off.
 	SerializeCollects bool
 
 	// Obs, when non-nil, records collect-lifecycle spans (trigger,
@@ -261,18 +265,18 @@ type Stats struct {
 
 	// Steal accounting under PerNode: collects run for a node by a
 	// thread of another node, and sweep lists drained cross-node, both
-	// gated by Config.StealThreshold.  With concurrent collects
-	// (SerializeCollects off) a steal additionally requires the target
-	// node's collect slot to be free — TryLock arbitration means a
-	// stolen collect never targets a node whose own reclaimer is
-	// active, and never blocks an idle node's own collect.
+	// gated by Config.StealThreshold.  A steal also requires the target
+	// node's collect slot to be free (TryLock), so a stolen collect never
+	// waits for, or runs beside, that node's own reclaimer.  Under
+	// SerializeCollects the slot is shared, so a steal happens only
+	// while no collect is in flight anywhere.
 	StolenCollects uint64
 	StolenSweeps   uint64
 
 	// OverlappedCollects counts collect phases that began while at
 	// least one other node's collect was already in flight — the
 	// concurrency the per-node collect slots exist to admit.  Always
-	// zero under SerializeCollects (and in classic mode).
+	// zero under SerializeCollects (one shared slot) and in classic mode.
 	OverlappedCollects uint64
 
 	HandlerCycles int64 // virtual cycles spent inside scan handlers
@@ -305,19 +309,18 @@ type ThreadScan struct {
 	// classic path's ringCount exclusion, they do not count toward the
 	// collect trigger, or pinned garbage would arm it permanently.
 	perNode     bool
-	collecting  int // node of the in-flight per-node collect (-1 idle)
 	nodeBuf     [][]uint64
 	nodeRemark  [][]uint64
 	nodeTrigger []int // per-node sub-buffer size that triggers a collect
 	stealAt     int   // per-node backlog at which remote stealing engages
 
-	// Concurrent per-node collects (PerNode without SerializeCollects;
-	// see overlap.go).  nc[n] is node n's independent collect pipeline —
-	// its own admission lock, scan handshake, shard group, and sweep
-	// lists — so collects on different nodes overlap; the machine-wide
-	// lock above then guards only thread registration.
-	overlap bool
-	nc      []*nodeCollect
+	// Per-node collect pipelines (see overlap.go).  nc[n] is node n's
+	// admission slot, scan handshake, shard group, and sweep lists; the
+	// machine-wide lock above then guards only thread registration.
+	// slots lists each distinct admission mutex once, in node order:
+	// one per node, or the single shared one under SerializeCollects.
+	nc    []*nodeCollect
+	slots []*simt.Mutex
 
 	// ringCount approximates the number of nodes buffered since the
 	// last collect began (fresh retirement pressure) for the watermark
@@ -370,14 +373,13 @@ type tsThread struct {
 func New(sim *simt.Sim, cfg Config) *ThreadScan {
 	cfg.fill()
 	ts := &ThreadScan{
-		sim:        sim,
-		cfg:        cfg,
-		obs:        cfg.Obs,
-		lock:       sim.NewMutex("threadscan.reclaim"),
-		shards:     newShardSet(cfg.Shards, sim.Nodes()),
-		hs:         sim.NewHandshake("threadscan.scan"),
-		nodes:      sim.Nodes(),
-		collecting: -1,
+		sim:    sim,
+		cfg:    cfg,
+		obs:    cfg.Obs,
+		lock:   sim.NewMutex("threadscan.reclaim"),
+		shards: newShardSet(cfg.Shards, sim.Nodes()),
+		hs:     sim.NewHandshake("threadscan.scan"),
+		nodes:  sim.Nodes(),
 	}
 	if cfg.PerNode && ts.nodes > 1 {
 		if ts.nodes > MaxRoutedNodes {
@@ -414,17 +416,24 @@ func New(sim *simt.Sim, cfg Config) *ThreadScan {
 		}
 		ts.stats.NodeCollects = make([]uint64, ts.nodes)
 		ts.stats.NodeReclaimed = make([]uint64, ts.nodes)
-		if !cfg.SerializeCollects {
-			ts.overlap = true
-			ts.nc = make([]*nodeCollect, ts.nodes)
-			for n := range ts.nc {
-				ts.nc[n] = &nodeCollect{
-					node:        n,
-					lock:        sim.NewMutex(fmt.Sprintf("threadscan.reclaim.n%d", n)),
-					hs:          sim.NewHandshake(fmt.Sprintf("threadscan.scan.n%d", n)),
-					shards:      newShardSet(cfg.Shards, ts.nodes),
-					reclaimerID: -1,
-				}
+		var shared *simt.Mutex
+		if cfg.SerializeCollects {
+			shared = sim.NewMutex("threadscan.reclaim.nodes")
+			ts.slots = []*simt.Mutex{shared}
+		}
+		ts.nc = make([]*nodeCollect, ts.nodes)
+		for n := range ts.nc {
+			lock := shared
+			if lock == nil {
+				lock = sim.NewMutex(fmt.Sprintf("threadscan.reclaim.n%d", n))
+				ts.slots = append(ts.slots, lock)
+			}
+			ts.nc[n] = &nodeCollect{
+				node:        n,
+				lock:        lock,
+				hs:          sim.NewHandshake(fmt.Sprintf("threadscan.scan.n%d", n)),
+				shards:      newShardSet(cfg.Shards, ts.nodes),
+				reclaimerID: -1,
 			}
 		}
 	}
@@ -473,33 +482,27 @@ func (ts *ThreadScan) threadStart(t *simt.Thread) {
 // count.
 func (ts *ThreadScan) threadExit(t *simt.Thread) {
 	ts.lock.Lock(t)
-	if ts.overlap {
-		// An in-flight collect's scan barrier may count this thread.
-		// Hold every node's collect slot (ascending — the one global
-		// lock order) so no phase is mid-handshake when we vanish; the
-		// waits are interruptible, so pending scan requests are still
-		// answered — and acked — from right here, and by the time all
-		// slots are held no handshake wants us.
-		for _, nc := range ts.nc {
-			nc.lock.Lock(t)
-		}
+	// Under PerNode an in-flight collect's scan barrier may count this
+	// thread.  Hold every collect slot (each distinct mutex once, since
+	// none is reentrant; ascending — the one global lock order) so no
+	// phase is mid-handshake when we vanish; the waits are
+	// interruptible, so pending scan requests are still answered — and
+	// acked — from right here, and by the time all slots are held no
+	// handshake wants us.  Classic mode has no slots.
+	for _, slot := range ts.slots {
+		slot.Lock(t)
 	}
 	id := t.ID()
 	ts.registered[id] = false
-	if ts.overlap {
-		ts.routeRing(t, ts.perThread[id])
-		for i := len(ts.nc) - 1; i >= 0; i-- {
-			ts.nc[i].lock.Unlock(t)
-		}
-		ts.lock.Unlock(t)
-		return
-	}
 	if ts.perNode {
 		// Routed mode has no orphan list: the exiting thread's buffered
 		// entries carry their node tags, so they drain straight into the
 		// per-node sub-buffers they were destined for (routeRing charges
 		// the copy).
 		ts.routeRing(t, ts.perThread[id])
+		for i := len(ts.slots) - 1; i >= 0; i-- {
+			ts.slots[i].Unlock(t)
+		}
 		ts.lock.Unlock(t)
 		return
 	}
@@ -588,29 +591,12 @@ func (ts *ThreadScan) parkOrphan(t *simt.Thread, addr uint64) {
 // per-node routing it routes every live ring and collects each node
 // with backlog (ascending node order, for determinism).
 func (ts *ThreadScan) Collect(t *simt.Thread) {
-	if ts.overlap {
+	if ts.perNode {
 		ts.collectForced(t)
 		return
 	}
 	ts.lock.Lock(t)
-	if ts.perNode {
-		ts.routeAllRings(t)
-		ran := false
-		for n := range ts.nodeBuf {
-			if len(ts.nodeBuf[n])+len(ts.nodeRemark[n]) > 0 {
-				ts.collectNode(t, n)
-				ran = true
-			}
-		}
-		if !ran {
-			// Nothing routed anywhere: still run one (empty) phase so a
-			// forced collect ticks the HelpFree carry-over, as in the
-			// classic path.
-			ts.collectNode(t, t.Node())
-		}
-	} else {
-		ts.collect(t)
-	}
+	ts.collect(t)
 	ts.lock.Unlock(t)
 }
 
@@ -701,36 +687,23 @@ func (ts *ThreadScan) FlushAll(t *simt.Thread) int {
 		}
 		before := ts.stats.Reclaimed + ts.stats.HelpFreed
 		ts.lock.Lock(t)
-		if ts.overlap {
-			ts.flushOverlap(t)
-		} else if ts.perNode {
-			ts.routeAllRings(t)
-			for n := range ts.nodeBuf {
-				if len(ts.nodeBuf[n])+len(ts.nodeRemark[n]) > 0 {
-					ts.collectNode(t, n)
-				}
-			}
-			// At teardown, unclaimed sweep lists of *every* node are
-			// drained here, steal threshold notwithstanding.
-			ts.drainHelpQueue(t)
+		if ts.perNode {
+			ts.flushNodes(t)
 		} else {
 			ts.collect(t)
-		}
-		// collect defers this phase's unmarked nodes under HelpFree;
-		// at teardown, free them immediately.
-		for _, addr := range ts.pendingFree {
-			ts.freeNode(t, addr)
-		}
-		ts.pendingFree = ts.pendingFree[:0]
-		for _, list := range ts.pendingShards {
-			for _, addr := range list.addrs {
+			// collect defers this phase's unmarked nodes under HelpFree;
+			// at teardown, free them immediately.
+			for _, addr := range ts.pendingFree {
 				ts.freeNode(t, addr)
-				if ts.perNode {
-					ts.stats.NodeReclaimed[list.home]++
+			}
+			ts.pendingFree = ts.pendingFree[:0]
+			for _, list := range ts.pendingShards {
+				for _, addr := range list.addrs {
+					ts.freeNode(t, addr)
 				}
 			}
+			ts.pendingShards = ts.pendingShards[:0]
 		}
-		ts.pendingShards = ts.pendingShards[:0]
 		ts.lock.Unlock(t)
 		if ts.stats.Reclaimed+ts.stats.HelpFreed == before {
 			break
@@ -1074,9 +1047,6 @@ func (ts *ThreadScan) drainHelpQueue(t *simt.Thread) {
 	for _, list := range lists {
 		for _, addr := range list.addrs {
 			ts.freeNode(t, addr)
-			if ts.perNode {
-				ts.stats.NodeReclaimed[list.home]++
-			}
 		}
 	}
 	ts.obs.End(t)
@@ -1087,8 +1057,8 @@ func (ts *ThreadScan) drainHelpQueue(t *simt.Thread) {
 // handler is also where the help protocol runs: free a unit of the
 // previous phase's queue, claim an unprepared shard to sort, then scan.
 func (ts *ThreadScan) scanHandler(t *simt.Thread) {
-	if ts.overlap {
-		ts.scanHandlerOverlap(t)
+	if ts.perNode {
+		ts.scanHandlerNodes(t)
 		return
 	}
 	h0 := t.HandlerCycles()
@@ -1121,12 +1091,6 @@ func (ts *ThreadScan) scanHandler(t *simt.Thread) {
 // scanner with no local work left still helps, so the protocol's
 // progress guarantee is untouched; only the claim *order* changes.
 func (ts *ThreadScan) helpSort(t *simt.Thread) {
-	if ts.perNode && t.Node() != ts.collecting && ts.shards.total < ts.stealAt {
-		// Per-node collect below the steal threshold: remote scanners
-		// scan (they must — the barrier counts them) but leave the sort
-		// work to the collecting node, keeping it free of remote fills.
-		return
-	}
 	share := len(ts.shards.sub)/(ts.hs.Need()+1) + 1
 	if ts.nodes > 1 && ts.cfg.Claim == ClaimAffinity {
 		my := t.Node()
@@ -1179,12 +1143,7 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 	ts.obs.Begin(t, obs.StageFree)
 	defer ts.obs.End(t)
 	n := ts.cfg.HelpFreeChunk
-	// Per-node routing enforces home-gated sweeping regardless of the
-	// claim policy: StealThreshold's contract — below it, remote
-	// scanners do not claim — is part of the routing design, not of
-	// the A6 claim-order ablation, so the rr control may not bypass it
-	// (and bypassing it would also dodge the StolenSweeps accounting).
-	affinity := ts.nodes > 1 && (ts.cfg.Claim == ClaimAffinity || ts.perNode)
+	affinity := ts.nodes > 1 && ts.cfg.Claim == ClaimAffinity
 	for n > 0 && len(ts.helpShards) > 0 {
 		// Claim a whole list before freeing (FreeAddr passes
 		// safepoints, and no other helper — or the reclaimer's drain —
@@ -1193,7 +1152,6 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 		// helper, preserving the bounded-handler-latency trade
 		// HelpFreeChunk exists for.
 		pick := len(ts.helpShards) - 1
-		stolen := false
 		if affinity {
 			my := t.Node()
 			pick = -1
@@ -1204,14 +1162,7 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 				}
 			}
 			if pick < 0 {
-				if !ts.perNode || ts.deferredBacklog() < ts.stealAt {
-					break // no local list; leave remote ones to their node
-				}
-				// Per-node mode with the deferred backlog past the steal
-				// threshold: the home node is not keeping up, so sweep a
-				// remote list anyway — bounded memory beats locality.
-				pick = len(ts.helpShards) - 1
-				stolen = true
+				break // no local list; leave remote ones to their node
 			}
 		}
 		list := ts.helpShards[pick]
@@ -1219,9 +1170,6 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 		if !list.claimed {
 			list.claimed = true
 			ts.countClaim(t, list.home) // once per work unit, at first claim
-			if stolen {
-				ts.stats.StolenSweeps++
-			}
 		}
 		take := n
 		if take > len(list.addrs) {
@@ -1236,9 +1184,6 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 			}
 			t.FreeAddr(addr)
 			ts.stats.HelpFreed++
-			if ts.perNode {
-				ts.stats.NodeReclaimed[list.home]++
-			}
 		}
 		n -= take
 		if len(list.addrs) > 0 {
@@ -1262,20 +1207,6 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 		t.FreeAddr(addr)
 		ts.stats.HelpFreed++
 	}
-}
-
-// deferredBacklog is the total address count across deferred and
-// claimable per-shard sweep lists — the quantity the steal threshold
-// compares against.
-func (ts *ThreadScan) deferredBacklog() int {
-	n := 0
-	for _, list := range ts.helpShards {
-		n += len(list.addrs)
-	}
-	for _, list := range ts.pendingShards {
-		n += len(list.addrs)
-	}
-	return n
 }
 
 // scanThread scans t's registers, stack, and registered heap blocks

@@ -5,21 +5,21 @@ import (
 	"threadscan/internal/simt"
 )
 
-// Concurrent per-node collects (Config.PerNode without SerializeCollects).
+// The per-node collect pipeline (Config.PerNode).
 //
-// The serialized per-node pipeline (pernode.go) routes retirements to
-// per-node sub-buffers but still funnels every collect through the one
-// machine-wide reclamation lock: node 1's reclaimer waits for node 0's
-// phase even though their shard groups, sweep lists, and freed lines
-// are disjoint by construction.  This file retires that lock from the
-// collect path.  Each node owns a nodeCollect — an admission mutex
-// (at most one in-flight collect per node), a scan-barrier handshake,
-// a shard group, and deferred sweep lists — and a node's reclaimer
-// runs its whole trigger → aggregate → sort → signal → scan → sweep →
-// free pipeline against its own nodeCollect only.  Collects on
-// different nodes overlap freely; the only cross-node rendezvous left
-// is the scan barrier itself, because any thread on any node may hold
-// a reference to any address.
+// Each node owns a nodeCollect — an admission slot, a scan-barrier
+// handshake, a shard group, and deferred sweep lists — and a node's
+// reclaimer runs its whole trigger → aggregate → sort → signal → scan
+// → sweep → free pipeline against its own nodeCollect only.  The
+// machine-wide reclamation lock is not on this path; it guards only
+// thread registration.  With one slot per node (the default) collects
+// on different nodes overlap freely: their shard groups, sweep lists
+// and freed lines are disjoint by construction, and the only
+// cross-node rendezvous left is the scan barrier itself, because any
+// thread on any node may hold a reference to any address.  Under
+// Config.SerializeCollects every nodeCollect shares one slot, so the
+// same pipeline admits one collect at a time machine-wide — the
+// paper's one-reclaimer rule (§4.2), and the A9 ablation's control.
 //
 // Shared scan epochs.  With several collects in flight, one thread can
 // be signaled by several reclaimers before it reaches a safepoint; the
@@ -37,14 +37,14 @@ import (
 //
 // Steal arbitration.  A thread that sees a remote node's backlog past
 // StealThreshold TryLocks that node's slot instead of queueing on it:
-// acquisition failure means the node's own reclaimer (or an earlier
-// thief) is already collecting, so a stolen collect never targets a
-// node whose reclaimer is active and never blocks an idle node's own
-// collect — the lock-free shape of the serialized path's guarantee.
+// acquisition failure means a reclaimer already holds the slot, so a
+// stolen collect never targets a node whose reclaimer is active and
+// never blocks an idle node's own collect.
 //
-// Exit safety.  A thread exits by taking EVERY node's slot in
+// Exit safety.  A thread exits by taking EVERY distinct slot in
 // ascending order (after the machine-wide registration lock — the one
-// global lock order).  The waits are interruptible, so an in-flight
+// global lock order); the shared slot is taken once, since the mutex
+// is not reentrant.  The waits are interruptible, so an in-flight
 // phase counting the exiting thread still gets its scan and ack; once
 // all slots are held, no handshake wants the thread and it can
 // deregister without stranding a barrier.
@@ -81,55 +81,9 @@ func (ts *ThreadScan) backlogOf(nc *nodeCollect) int {
 	return n
 }
 
-// maybeCollectOverlap checks the collect triggers after a routing
-// drain, like maybeCollectRouted, but admission is per node: the
-// drainer queues (interruptibly) on its own node's slot and TryLocks
-// remote overloaded ones.
-func (ts *ThreadScan) maybeCollectOverlap(t *simt.Thread) {
-	my := t.Node()
-	nc := ts.nc[my]
-	if len(ts.nodeBuf[my]) >= ts.nodeTrigger[my] {
-		nc.lock.Lock(t)
-		if len(ts.nodeBuf[my]) >= ts.nodeTrigger[my] {
-			if ts.cfg.CollectWatermark > 0 {
-				ts.stats.WatermarkCollects++
-				ts.obs.Instant(t, obs.KindWatermark)
-			} else {
-				ts.obs.Instant(t, obs.KindTrigger)
-			}
-			ts.collectNodeIn(t, nc)
-		} else {
-			// This node's reclaimer collected while we waited (§4.2).
-			ts.stats.AvoidedCollects++
-		}
-		nc.lock.Unlock(t)
-	}
-	for n := 0; n < ts.nodes; n++ {
-		if n == my || len(ts.nodeBuf[n]) < ts.stealAt {
-			continue
-		}
-		other := ts.nc[n]
-		// TryLock, not Lock: a held slot means the node's own reclaimer
-		// (or an earlier thief) is already on it — stealing must target
-		// only neglected nodes, and must never stall this thread behind
-		// another node's phase.
-		if !other.lock.TryLock(t) {
-			continue
-		}
-		if len(ts.nodeBuf[n]) >= ts.stealAt {
-			ts.stats.StolenCollects++
-			ts.obs.Instant(t, obs.KindSteal)
-			ts.collectNodeIn(t, other)
-		} else {
-			ts.stats.AvoidedCollects++
-		}
-		other.lock.Unlock(t)
-	}
-}
-
-// collectForced is Collect under concurrent collects: route every live
-// ring (under the registration lock), then run one phase per node with
-// backlog, taking each node's slot in ascending order.
+// collectForced is Collect under PerNode: route every live ring (under
+// the registration lock), then run one phase per node with backlog,
+// taking each node's slot in ascending order.
 func (ts *ThreadScan) collectForced(t *simt.Thread) {
 	ts.lock.Lock(t)
 	ts.routeAllRings(t)
@@ -138,7 +92,7 @@ func (ts *ThreadScan) collectForced(t *simt.Thread) {
 	for _, nc := range ts.nc {
 		nc.lock.Lock(t)
 		if len(ts.nodeBuf[nc.node])+len(ts.nodeRemark[nc.node]) > 0 {
-			ts.collectNodeIn(t, nc)
+			ts.collectNode(t, nc)
 			ran = true
 		}
 		nc.lock.Unlock(t)
@@ -148,23 +102,23 @@ func (ts *ThreadScan) collectForced(t *simt.Thread) {
 		// forced collect ticks the HelpFree carry-over.
 		nc := ts.nc[t.Node()]
 		nc.lock.Lock(t)
-		ts.collectNodeIn(t, nc)
+		ts.collectNode(t, nc)
 		nc.lock.Unlock(t)
 	}
 }
 
-// flushOverlap is FlushAll's per-node teardown pass: collect and drain
+// flushNodes is FlushAll's per-node teardown pass: collect and drain
 // every node, steal threshold notwithstanding.  Caller holds the
 // registration lock and is marked flushing.
-func (ts *ThreadScan) flushOverlap(t *simt.Thread) {
+func (ts *ThreadScan) flushNodes(t *simt.Thread) {
 	ts.routeAllRings(t)
 	for _, nc := range ts.nc {
 		nc.lock.Lock(t)
 		if len(ts.nodeBuf[nc.node])+len(ts.nodeRemark[nc.node]) > 0 {
-			ts.collectNodeIn(t, nc)
+			ts.collectNode(t, nc)
 		}
-		ts.drainNodeListsIn(t, nc)
-		// collectNodeIn defers this phase's unmarked nodes; at teardown,
+		ts.drainNodeLists(t, nc)
+		// collectNode defers this phase's unmarked nodes; at teardown,
 		// free them immediately.
 		for _, list := range nc.pending {
 			for _, addr := range list.addrs {
@@ -177,9 +131,13 @@ func (ts *ThreadScan) flushOverlap(t *simt.Thread) {
 	}
 }
 
-// collectNodeIn is the per-node TS-Collect over nc's own pipeline —
-// collectNode without the machine-wide lock.  Caller holds nc.lock.
-func (ts *ThreadScan) collectNodeIn(t *simt.Thread, nc *nodeCollect) {
+// collectNode is the per-node TS-Collect: one phase over nc's shard
+// group only.  Aggregation reads just that node's sub-buffer (plus its
+// re-buffered marked nodes), every shard is homed on the node without
+// an election, and the sweep — local by construction — re-buffers
+// marked nodes into the node's remark list so pinned garbage cannot
+// re-arm the trigger.  Caller holds nc.lock.
+func (ts *ThreadScan) collectNode(t *simt.Thread, nc *nodeCollect) {
 	if nc.active {
 		panic("core: concurrent collect admitted on one node's collect slot")
 	}
@@ -206,8 +164,9 @@ func (ts *ThreadScan) collectNodeIn(t *simt.Thread, nc *nodeCollect) {
 
 	// Aggregate the node's sub-buffer into the node's own shard group.
 	// Single node by construction: no votes, no election.  Truncate
-	// before charging, as in collectNode: aggregate-and-truncate is one
-	// atomic step with respect to routeRing's lock-free appends.
+	// before charging: aggregate-and-truncate must be one atomic step
+	// with respect to routeRing's lock-free appends, and that property
+	// should not hinge on Charge never passing a safepoint.
 	nc.shards.reset()
 	n := len(ts.nodeBuf[node]) + len(ts.nodeRemark[node])
 	for _, a := range ts.nodeBuf[node] {
@@ -224,7 +183,7 @@ func (ts *ThreadScan) collectNodeIn(t *simt.Thread, nc *nodeCollect) {
 	if nc.shards.total == 0 {
 		// Nothing new on this node, but deferred sweep work must still
 		// move (teardown reaches here with empty sub-buffers).
-		ts.drainNodeListsIn(t, nc)
+		ts.drainNodeLists(t, nc)
 		nc.active = false
 		nc.reclaimerID = -1
 		ts.stats.CollectCycles += t.Cycles() - start
@@ -286,7 +245,7 @@ func (ts *ThreadScan) collectNodeIn(t *simt.Thread, nc *nodeCollect) {
 		}
 	}
 	ts.obs.End(t)
-	ts.drainNodeListsIn(t, nc)
+	ts.drainNodeLists(t, nc)
 	nc.active = false
 	nc.reclaimerID = -1
 	ts.stats.CollectCycles += t.Cycles() - start
@@ -314,10 +273,9 @@ func (ts *ThreadScan) signalPeersIn(t *simt.Thread, nc *nodeCollect) {
 	ts.obs.End(t)
 }
 
-// scanHandlerOverlap is TS-Scan under concurrent collects: one scan
-// pass per handler run, shared by every collect whose signal the run
-// observed.
-func (ts *ThreadScan) scanHandlerOverlap(t *simt.Thread) {
+// scanHandlerNodes is TS-Scan under PerNode: one scan pass per handler
+// run, shared by every collect whose signal the run observed.
+func (ts *ThreadScan) scanHandlerNodes(t *simt.Thread) {
 	h0 := t.HandlerCycles()
 	// Snapshot the collects that want this thread's ack BEFORE any
 	// safepoint-passing work (helpFree frees, which yields): the
@@ -341,9 +299,9 @@ func (ts *ThreadScan) scanHandlerOverlap(t *simt.Thread) {
 	}
 	ts.obs.BeginNode(t, obs.StageScan, node)
 	if ts.cfg.HelpFree {
-		ts.helpFreeOverlap(t)
+		ts.helpFreeNodes(t)
 	}
-	ts.helpSortOverlap(t, wanting)
+	ts.helpSortNodes(t, wanting)
 	ts.scanThreadMulti(t, wanting)
 	// ACK each wanting collect: one visible flag write per reclaimer.
 	c := ts.costs()
@@ -385,13 +343,13 @@ func (ts *ThreadScan) scanThreadMulti(t *simt.Thread, ncs []*nodeCollect) {
 	ts.stats.ScannedWords += uint64(words)
 }
 
-// helpSortOverlap claims a fair share of each wanting collect's
-// unprepared shards, under the same locality gate as the serialized
-// helpSort: a remote scanner leaves sort work to the collecting node
-// unless that node's collect is past the steal threshold.  Shard
+// helpSortNodes claims a fair share of each wanting collect's
+// unprepared shards, gated on locality: a remote scanner leaves sort
+// work to the collecting node unless that node's collect is past the
+// steal threshold.  Shard
 // groups here are single-home, so the affinity two-pass degenerates to
 // index order.
-func (ts *ThreadScan) helpSortOverlap(t *simt.Thread, wanting []*nodeCollect) {
+func (ts *ThreadScan) helpSortNodes(t *simt.Thread, wanting []*nodeCollect) {
 	my := t.Node()
 	for _, nc := range wanting {
 		if nc.shards.k() <= 1 {
@@ -415,13 +373,13 @@ func (ts *ThreadScan) helpSortOverlap(t *simt.Thread, wanting []*nodeCollect) {
 	}
 }
 
-// helpFreeOverlap frees one HelpFreeChunk-bounded unit from the
+// helpFreeNodes frees one HelpFreeChunk-bounded unit from the
 // per-node claimable sweep lists: the scanner's own node's lists
 // first, then — only past the steal threshold — an overloaded remote
 // node's, counting the steal.  Claiming pops a whole list before any
-// free (FreeAddr passes safepoints), exactly like the serialized
+// free (FreeAddr passes safepoints), exactly like the classic
 // helpFree.
-func (ts *ThreadScan) helpFreeOverlap(t *simt.Thread) {
+func (ts *ThreadScan) helpFreeNodes(t *simt.Thread) {
 	any := false
 	for _, nc := range ts.nc {
 		if len(nc.help) > 0 {
@@ -496,12 +454,12 @@ func (ts *ThreadScan) helpFreeLists(t *simt.Thread, nc *nodeCollect, budget int,
 	return budget
 }
 
-// drainNodeListsIn is the phase-end mop-up for nc: a home-node
+// drainNodeLists is the phase-end mop-up for nc: a home-node
 // reclaimer (or any teardown flush) finishes whatever no scanner
 // claimed, bounding deferral to one phase; a remote (stealing)
 // reclaimer below the steal threshold re-defers instead, leaving the
 // frees to the home node's scanners.
-func (ts *ThreadScan) drainNodeListsIn(t *simt.Thread, nc *nodeCollect) {
+func (ts *ThreadScan) drainNodeLists(t *simt.Thread, nc *nodeCollect) {
 	if len(nc.help) == 0 {
 		return
 	}

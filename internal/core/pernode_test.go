@@ -221,39 +221,53 @@ func TestPerNodeRemarkDoesNotRearmTrigger(t *testing.T) {
 // TestPerNodeChurnedThreadExitRoutes: a mid-run-spawned thread that
 // exits with buffered retirements must route them (tagged with its
 // inherited node) into the per-node sub-buffers — the routed analog of
-// the orphan list — and a later collect must reclaim them.
+// the orphan list — and a later collect must reclaim them.  The
+// serialized case exits through the one shared collect slot, which the
+// exit path must take once, not once per node (the mutex is not
+// reentrant, so a second Lock would hang the run).
 func TestPerNodeChurnedThreadExitRoutes(t *testing.T) {
-	s := numaSim(4, 2, 7)
-	ts := New(s, Config{BufferSize: 1024, Shards: 4, PerNode: true})
-	parent := s.Spawn("parent", func(th *simt.Thread) {
-		for w := 0; w < 3; w++ {
-			s.SpawnFrom(th, "churned", func(c *simt.Thread) {
-				churn(ts, c, 40) // buffered only: ring 1024 never fills
+	for _, tc := range []struct {
+		name      string
+		serialize bool
+	}{{"overlapped", false}, {"serialized", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := numaSim(4, 2, 7)
+			ts := New(s, Config{BufferSize: 1024, Shards: 4, PerNode: true,
+				SerializeCollects: tc.serialize})
+			parent := s.Spawn("parent", func(th *simt.Thread) {
+				for w := 0; w < 3; w++ {
+					s.SpawnFrom(th, "churned", func(c *simt.Thread) {
+						churn(ts, c, 40) // buffered only: ring 1024 never fills
+					})
+					th.Work(20_000)
+				}
+				th.Work(400_000) // let the children exit
+				ts.Collect(th)
+				if left := ts.FlushAll(th); left != 0 {
+					t.Errorf("flush left %d", left)
+				}
 			})
-			th.Work(20_000)
-		}
-		th.Work(400_000) // let the children exit
-		ts.Collect(th)
-		if left := ts.FlushAll(th); left != 0 {
-			t.Errorf("flush left %d", left)
-		}
-	})
-	parent.Pin(1)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if lb := s.Heap().Stats().LiveBlocks; lb != 0 {
-		t.Fatalf("leaked %d blocks", lb)
-	}
-	st := ts.Stats()
-	if st.Frees != 3*40 || st.Reclaimed+st.HelpFreed != st.Frees {
-		t.Fatalf("stats: %+v", st)
-	}
-	// All churned children inherited node 1; their exits routed there.
-	if st.NodeCollects[1] == 0 {
-		t.Fatalf("no node-1 collect despite node-1 retirement: %v", st.NodeCollects)
-	}
-	if st.NodeReclaimed[0] != 0 {
-		t.Fatalf("node-0 attributed %d reclaims; only node-1 threads retired", st.NodeReclaimed[0])
+			parent.Pin(1)
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if lb := s.Heap().Stats().LiveBlocks; lb != 0 {
+				t.Fatalf("leaked %d blocks", lb)
+			}
+			if n := ts.RegisteredThreads(); n != 0 {
+				t.Fatalf("%d threads still registered", n)
+			}
+			st := ts.Stats()
+			if st.Frees != 3*40 || st.Reclaimed+st.HelpFreed != st.Frees {
+				t.Fatalf("stats: %+v", st)
+			}
+			// All churned children inherited node 1; their exits routed there.
+			if st.NodeCollects[1] == 0 {
+				t.Fatalf("no node-1 collect despite node-1 retirement: %v", st.NodeCollects)
+			}
+			if st.NodeReclaimed[0] != 0 {
+				t.Fatalf("node-0 attributed %d reclaims; only node-1 threads retired", st.NodeReclaimed[0])
+			}
+		})
 	}
 }

@@ -3,8 +3,10 @@ package core
 // Ring is the per-thread delete buffer: a bounded single-producer,
 // single-consumer circular array (paper §4.2, "Reclamation").  The
 // owning thread pushes retired node addresses; the current reclaimer —
-// unique, because collects are serialized by a lock — drains it into
-// the master buffer.  Head and tail are monotone counters; the paper's
+// unique, because classic collects are serialized by a lock — drains it
+// into the master buffer.  Under PerNode the owner drains it when it
+// fills (pernode.go); only forced collects and teardown drain another
+// thread's ring.  Head and tail are monotone counters; the paper's
 // "single-reader, single-writer, so concurrent accesses are simple and
 // inexpensive" property maps here to push/drain being safepoint-atomic.
 type Ring struct {

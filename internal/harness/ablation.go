@@ -610,9 +610,11 @@ var Ablations = []Ablation{
 		},
 	},
 	{
-		// A9: per-node collects serialized on one machine-wide lock vs
-		// running concurrently on the per-node collect slots, across
-		// node counts at fixed per-node geometry (overlapScale).
+		// A9: the per-node collect pipeline with one collect slot shared
+		// by every node (at most one collect in flight) vs one slot per
+		// node (collects overlap), across node counts at fixed per-node
+		// geometry (overlapScale).  The two modes differ only in how
+		// many collects may be in flight.
 		// per-node-reclaim is the symmetric shape, where collect
 		// throughput should scale near-linearly in nodes once collects
 		// overlap; numa-skewed-retire is the single-retiring-node

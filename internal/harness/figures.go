@@ -28,9 +28,16 @@ type SweepParams struct {
 	ThreadCounts []int // per-point thread counts; nil = per-figure default
 	Cores        int   // virtual cores; 0 = per-scale default
 	Duration     int64 // per-thread virtual cycles; 0 = default (20ms)
-	Quantum      int64 // scheduler timeslice in cycles; 0 = simt default
-	Seed         int64
-	CacheSim     bool
+
+	// Quantum is the scheduler timeslice in cycles.  0 = the sweep
+	// default: 125,000 at quick scale and 1,000,000 at paper scale for
+	// figures and paper-workload ablations (ablations over builtin
+	// scenarios keep the scenario's own, 125,000).  Handed to a single
+	// run (tsbench -single), 0 means the simulator's 200,000.
+	Quantum int64
+
+	Seed     int64
+	CacheSim bool
 }
 
 // baseConfig returns the per-structure workload of §6 at the chosen

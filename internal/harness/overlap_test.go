@@ -48,7 +48,7 @@ func TestOverlapScalingRegression(t *testing.T) {
 		byKey[[2]interface{}{nodes, mode}] = row
 		c := row.Result.Core
 		if mode == "serialized" && c.OverlappedCollects != 0 {
-			t.Errorf("serialized run at %d nodes overlapped %d collects — the machine-wide lock leaked",
+			t.Errorf("serialized run at %d nodes overlapped %d collects — the shared collect slot leaked",
 				nodes, c.OverlappedCollects)
 		}
 		if mode == "overlapped" && nodes >= 2 && c.OverlappedCollects == 0 {
@@ -88,7 +88,9 @@ func TestOverlapScalingRegression(t *testing.T) {
 // every retired node freed exactly once or still pending.  Steals
 // never target a node whose own reclaimer is active by construction
 // (slot TryLock), so surviving the sweep with both steals and overlaps
-// observed is the assertion.
+// observed is the assertion.  The serialized control runs the same
+// pipeline through one shared slot: it must keep the same accounting
+// and never overlap a collect.
 func TestStealUnderOverlapChaos(t *testing.T) {
 	base, ok := workload.ByName("numa-skewed-retire")
 	if !ok {
@@ -104,33 +106,43 @@ func TestStealUnderOverlapChaos(t *testing.T) {
 		{InsertPct: 10, RemovePct: 10},
 	}
 	base.Chaos = true
-	var stole, overlapped uint64
-	for seed := int64(1); seed <= 5; seed++ {
-		spec := base
-		spec.Seed = seed
-		r, err := RunScenario(spec)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	for _, serialize := range []bool{false, true} {
+		var stole, overlapped uint64
+		for seed := int64(1); seed <= 5; seed++ {
+			spec := base
+			spec.Seed = seed
+			spec.SerializeCollects = serialize
+			r, err := RunScenario(spec)
+			if err != nil {
+				t.Fatalf("serialize=%v seed %d: %v", serialize, seed, err)
+			}
+			if r.AccountingError != "" {
+				t.Errorf("serialize=%v seed %d: %s", serialize, seed, r.AccountingError)
+			}
+			if r.LeakedRegistrations != 0 {
+				t.Errorf("serialize=%v seed %d: %d leaked registrations",
+					serialize, seed, r.LeakedRegistrations)
+			}
+			s := r.SchemeStats
+			if s.Freed+s.Pending != s.Retired {
+				t.Errorf("serialize=%v seed %d: free accounting unbalanced: freed %d + pending %d != retired %d",
+					serialize, seed, s.Freed, s.Pending, s.Retired)
+			}
+			stole += r.Core.StolenCollects
+			overlapped += r.Core.OverlappedCollects
 		}
-		if r.AccountingError != "" {
-			t.Errorf("seed %d: %s", seed, r.AccountingError)
+		if serialize {
+			if overlapped != 0 {
+				t.Errorf("serialized runs overlapped %d collects on the shared slot", overlapped)
+			}
+			continue
 		}
-		if r.LeakedRegistrations != 0 {
-			t.Errorf("seed %d: %d leaked registrations", seed, r.LeakedRegistrations)
+		if stole == 0 {
+			t.Error("no seed stole a collect — the sweep never exercised steal-under-overlap")
 		}
-		s := r.SchemeStats
-		if s.Freed+s.Pending != s.Retired {
-			t.Errorf("seed %d: free accounting unbalanced: freed %d + pending %d != retired %d",
-				seed, s.Freed, s.Pending, s.Retired)
+		if overlapped == 0 {
+			t.Error("no seed overlapped collects — the sweep never exercised overlap")
 		}
-		stole += r.Core.StolenCollects
-		overlapped += r.Core.OverlappedCollects
-	}
-	if stole == 0 {
-		t.Error("no seed stole a collect — the sweep never exercised steal-under-overlap")
-	}
-	if overlapped == 0 {
-		t.Error("no seed overlapped collects — the sweep never exercised overlap")
 	}
 }
 

@@ -189,10 +189,11 @@ type Scenario struct {
 	// core's default (4x the per-node collect trigger).
 	StealThreshold int
 
-	// SerializeCollects forces PerNode collects back onto one
-	// machine-wide reclamation lock (the pre-overlap pipeline) instead
-	// of the default truly concurrent per-node collects — the A9
-	// ablation's control.  Inert without PerNode.
+	// SerializeCollects gives every node's PerNode collect pipeline
+	// one shared admission slot, so at most one collect is in flight
+	// machine-wide, instead of one slot per node with collects on
+	// different nodes overlapping — the A9 ablation's control.  Inert
+	// without PerNode.
 	SerializeCollects bool
 
 	// AllocPolicy selects the simulated allocator's NUMA placement
