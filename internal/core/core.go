@@ -452,6 +452,15 @@ func (ts *ThreadScan) Stats() Stats {
 	return st
 }
 
+// Unreclaimed returns how many retired nodes are not yet resolved:
+// frees minus nodes reclaimed, help-freed, or absorbed as double
+// retires.  It reads the counters in place, unlike Stats, so per-retire
+// callers pay no copy.
+func (ts *ThreadScan) Unreclaimed() uint64 {
+	st := &ts.stats
+	return st.Frees - (st.Reclaimed + st.HelpFreed + st.DoubleRetires)
+}
+
 // PerNode reports whether per-node retirement routing is active (the
 // config asked for it and the machine has more than one node).
 func (ts *ThreadScan) PerNode() bool { return ts.perNode }

@@ -267,6 +267,7 @@ func (r *scenarioRun) work(th *simt.Thread, base, deadline int64) {
 	}
 	phase := 0
 	override := r.mixOf[th.ID()]
+	stalled := r.stalls[th.ID()]
 	gen := workload.NewKeyGen(r.spec.Phases[0].Dist, r.spec.KeyRange, rng)
 	doOp := func(frac float64) {
 		if frac >= 1 {
@@ -303,7 +304,7 @@ func (r *scenarioRun) work(th *simt.Thread, base, deadline int64) {
 	}
 	sinceStall := 0
 	maybeStall := func() {
-		if !r.stalls[th.ID()] {
+		if !stalled {
 			return
 		}
 		sinceStall++
@@ -332,15 +333,19 @@ func (r *scenarioRun) work(th *simt.Thread, base, deadline int64) {
 				phase++
 				gen = workload.NewKeyGen(r.spec.Phases[phase].Dist, r.spec.KeyRange, rng)
 			}
-			startOp := int64(0)
-			if phase > 0 {
-				startOp = r.phaseEnd[phase-1] * int64(budget) / total
+			var frac float64 // read only by a windowed key distribution
+			if gen.Windowed() {
+				startOp := int64(0)
+				if phase > 0 {
+					startOp = r.phaseEnd[phase-1] * int64(budget) / total
+				}
+				phaseOps := r.spec.Phases[phase].Duration * int64(budget) / total
+				if phaseOps < 1 {
+					phaseOps = 1
+				}
+				frac = float64(int64(i)-startOp) / float64(phaseOps)
 			}
-			phaseOps := r.spec.Phases[phase].Duration * int64(budget) / total
-			if phaseOps < 1 {
-				phaseOps = 1
-			}
-			doOp(float64(int64(i)-startOp) / float64(phaseOps))
+			doOp(frac)
 			maybeStall()
 		}
 	} else {
@@ -349,11 +354,15 @@ func (r *scenarioRun) work(th *simt.Thread, base, deadline int64) {
 				phase++
 				gen = workload.NewKeyGen(r.spec.Phases[phase].Dist, r.spec.KeyRange, rng)
 			}
-			phaseStart := base
-			if phase > 0 {
-				phaseStart += r.phaseEnd[phase-1]
+			var frac float64 // read only by a windowed key distribution
+			if gen.Windowed() {
+				phaseStart := base
+				if phase > 0 {
+					phaseStart += r.phaseEnd[phase-1]
+				}
+				frac = float64(th.Now()-phaseStart) / float64(r.spec.Phases[phase].Duration)
 			}
-			doOp(float64(th.Now()-phaseStart) / float64(r.spec.Phases[phase].Duration))
+			doOp(frac)
 			maybeStall()
 		}
 	}

@@ -11,8 +11,10 @@ import (
 // and every larger bucket spans 1/32 of its row's range, so quantile
 // recovery is within 1/16 (6.25%) relative error across the full int64
 // range.  Observing and merging never allocate, and Merge is an
-// element-wise sum — deterministic and commutative — so per-thread
-// histograms from a churny run can be combined in any order.
+// element-wise sum — deterministic and commutative.  A Recorder keeps
+// one Hist per stage that every thread observes into.  Hist is a plain
+// value with no pointers, so the metrics engine's window snapshots are
+// array copies.
 const (
 	histSubBits    = 5
 	histSubBuckets = 1 << histSubBits

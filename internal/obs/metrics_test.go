@@ -368,8 +368,8 @@ func TestSparkline(t *testing.T) {
 func TestMergeStageInto(t *testing.T) {
 	r := NewRecorder()
 	tr := &threadRec{}
-	tr.observe(StageOp, 100)
-	tr.observe(StageOp, 2000)
+	r.observe(tr, StageOp, 100)
+	r.observe(tr, StageOp, 2000)
 	r.threads = append(r.threads, tr, nil)
 	var h Hist
 	r.MergeStageInto(StageOp, &h)

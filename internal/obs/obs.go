@@ -1,6 +1,6 @@
-// Package obs is the observability layer: per-thread span recorders and
-// HDR-style latency histograms keyed on simt's virtual clock, with
-// Chrome trace-event export.
+// Package obs is the observability layer: per-thread span recorders,
+// per-stage HDR-style latency histograms keyed on simt's virtual clock,
+// and Chrome trace-event export.
 //
 // The layer is zero-cost by contract, twice over.  A nil or disabled
 // *Recorder makes every recording call a two-comparison no-op that
@@ -149,8 +149,9 @@ type openSpan struct {
 	node  int
 }
 
+// stageStat is one thread's exact tally for one stage.  The stage's
+// histogram is not kept per thread: it lives once on the Recorder.
 type stageStat struct {
-	hist  *Hist
 	count int64
 	sum   int64
 	max   int64
@@ -169,12 +170,16 @@ type threadRec struct {
 	instants []Instant
 }
 
-func (tr *threadRec) observe(s Stage, dur int64) {
-	st := &tr.stats[s]
-	if st.hist == nil {
-		st.hist = NewHist()
+// observe records one duration of stage s on tr: into the stage's
+// histogram, shared by every thread, and into tr's exact tally.
+func (r *Recorder) observe(tr *threadRec, s Stage, dur int64) {
+	h := r.hists[s]
+	if h == nil {
+		h = NewHist()
+		r.hists[s] = h
 	}
-	st.hist.Observe(dur)
+	h.Observe(dur)
+	st := &tr.stats[s]
 	st.count++
 	st.sum += dur
 	if dur > st.max {
@@ -187,6 +192,13 @@ func (tr *threadRec) observe(s Stage, dur int64) {
 // recorder: every method returns immediately without allocating.
 // Construct enabled recorders with NewRecorder or NewTraceRecorder.
 //
+// Each stage has one histogram, allocated on its first observation,
+// that every thread observes into: histograms are only ever read
+// merged across threads, and merging is an element-wise sum, so a
+// per-thread copy would add memory and no information.  Histogram
+// bytes per run therefore do not grow with the thread count.  Exact
+// per-stage counts, sums and maxima are still kept per thread.
+//
 // A Recorder needs no synchronization: the simt scheduler runs exactly
 // one thread between safepoints, so recording calls never race.
 type Recorder struct {
@@ -194,6 +206,7 @@ type Recorder struct {
 	trace   bool
 
 	threads []*threadRec // indexed by thread id
+	hists   [numStages]*Hist
 	kinds   [numKinds]int64
 
 	remoteLineFills    int64
@@ -268,7 +281,7 @@ func (r *Recorder) End(t *simt.Thread) {
 	sp := tr.open[n-1]
 	tr.open = tr.open[:n-1]
 	dur := t.Now() - sp.start
-	tr.observe(sp.stage, dur)
+	r.observe(tr, sp.stage, dur)
 	if r.trace && stageTraced[sp.stage] {
 		tr.spans = append(tr.spans, Span{sp.stage, sp.start, dur, sp.node})
 	}
@@ -280,7 +293,7 @@ func (r *Recorder) Observe(t *simt.Thread, s Stage, dur int64) {
 	if r == nil || !r.enabled {
 		return
 	}
-	r.rec(t).observe(s, dur)
+	r.observe(r.rec(t), s, dur)
 }
 
 // Window records a completed span of stage s after the fact — start is
@@ -292,7 +305,7 @@ func (r *Recorder) Window(t *simt.Thread, s Stage, start, dur int64) {
 		return
 	}
 	tr := r.rec(t)
-	tr.observe(s, dur)
+	r.observe(tr, s, dur)
 	if r.trace && stageTraced[s] {
 		tr.spans = append(tr.spans, Span{s, start, dur, -1})
 	}
@@ -328,7 +341,7 @@ func (r *Recorder) Alloc(t *simt.Thread, dur int64, remote bool) {
 	if r == nil || !r.enabled {
 		return
 	}
-	r.rec(t).observe(StageAlloc, dur)
+	r.observe(r.rec(t), StageAlloc, dur)
 	if remote {
 		r.allocRemoteFills++
 	}
@@ -395,34 +408,24 @@ func (r *Recorder) InboxDrain(node, blocks int) {
 // ---------------------------------------------------------------------
 // Aggregation.
 
-// StageHist returns a merged copy of every thread's histogram for s.
+// StageHist returns a copy of the histogram for s, every thread's
+// observations included.
 func (r *Recorder) StageHist(s Stage) *Hist {
 	h := NewHist()
-	if r == nil || !r.enabled {
-		return h
-	}
-	for _, tr := range r.threads {
-		if tr != nil && tr.stats[s].hist != nil {
-			h.Merge(tr.stats[s].hist)
-		}
-	}
+	r.MergeStageInto(s, h)
 	return h
 }
 
-// MergeStageInto merges every thread's histogram for s into a
-// caller-owned Hist.  The non-allocating sibling of StageHist: the
-// metrics engine calls it once per sampling window to snapshot the
-// cumulative distribution, so it is part of the zero-cost hot surface
-// (guarded, and the caller preallocates the destination).
+// MergeStageInto merges the histogram for s into a caller-owned Hist.
+// The non-allocating sibling of StageHist: the metrics engine calls it
+// once per sampling window to snapshot the cumulative distribution, so
+// it is part of the zero-cost hot surface (guarded, and the caller
+// preallocates the destination).
 func (r *Recorder) MergeStageInto(s Stage, into *Hist) {
-	if r == nil || !r.enabled {
+	if r == nil || !r.enabled || r.hists[s] == nil {
 		return
 	}
-	for _, tr := range r.threads {
-		if tr != nil && tr.stats[s].hist != nil {
-			into.Merge(tr.stats[s].hist)
-		}
-	}
+	into.Merge(r.hists[s])
 }
 
 // StageCount returns the total observation count for s across threads.

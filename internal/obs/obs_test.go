@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,6 +121,45 @@ func TestRecorderSpansHistogramsInstants(t *testing.T) {
 	want := []string{"collect", "scan", "handshake-wait", "grace-wait"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("Summary stage order = %v, want %v", names, want)
+	}
+}
+
+// Every thread observes into one histogram per stage, so a recorder
+// fed by 64 threads allocates no more histogram memory than one fed by
+// 2.  The thread records are created first, outside the measurement:
+// what is measured is only what the observations allocate.  Not
+// parallel: it reads the process-wide TotalAlloc.
+func TestRecorderHistBytesIndependentOfThreads(t *testing.T) {
+	sim := testSim()
+	threads := make([]*simt.Thread, 64)
+	for i := range threads {
+		threads[i] = sim.Spawn(fmt.Sprintf("w%d", i), func(*simt.Thread) {})
+	}
+	stages := Stages()
+	histBytes := func(n int) (uint64, *Recorder) {
+		r := NewRecorder()
+		for _, th := range threads[:n] {
+			r.rec(th)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, th := range threads[:n] {
+			for _, s := range stages {
+				r.Observe(th, s, 100)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, r
+	}
+	few, _ := histBytes(2)
+	many, r := histBytes(64)
+	if many > few {
+		t.Errorf("histogram bytes grew with threads: %d B for 64 threads, %d B for 2", many, few)
+	}
+	for _, s := range stages {
+		if got := r.StageHist(s).Count(); got != 64 || r.StageCount(s) != 64 {
+			t.Errorf("stage %v: histogram holds %d, count %d; want 64 each", s, got, r.StageCount(s))
+		}
 	}
 }
 

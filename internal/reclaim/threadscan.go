@@ -53,8 +53,7 @@ func (s *ThreadScan) Retire(t *simt.Thread, addr uint64) {
 	// occupancy so orphaned rings and nodes popped mid-collect (out of
 	// the buffers but not yet freed) still count as garbage.  Host-side
 	// only; charges nothing.
-	c := s.ts.Stats()
-	if p := c.Frees + 1 - (c.Reclaimed + c.HelpFreed + c.DoubleRetires); p > s.stats.PeakRetired {
+	if p := s.ts.Unreclaimed() + 1; p > s.stats.PeakRetired {
 		s.stats.PeakRetired = p
 	}
 	s.ts.Free(t, addr)

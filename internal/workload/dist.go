@@ -118,6 +118,11 @@ func NewKeyGen(d Dist, keyRange uint64, rng *rand.Rand) *KeyGen {
 	return g
 }
 
+// Windowed reports whether Key reads its frac argument: only the
+// sliding-window distribution does, so callers compute the phase
+// position only when it is.
+func (g *KeyGen) Windowed() bool { return g.d.Kind == DistWindow }
+
 // Key draws the next key.  frac is the worker's position within the
 // phase in [0,1), consulted only by the sliding-window distribution.
 func (g *KeyGen) Key(frac float64) uint64 {

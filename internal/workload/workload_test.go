@@ -180,6 +180,51 @@ func TestTraceDigestOrderSensitive(t *testing.T) {
 	}
 }
 
+// fnvWordBytewise is the textbook FNV-1a fold of a word's eight bytes,
+// low byte first: the reference fnvWord's zero-byte shortcut must match.
+func fnvWordBytewise(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= w >> (8 * i) & 0xFF
+		h *= fnvPrime
+	}
+	return h
+}
+
+// TestFnvWordMatchesBytewise: the folded digest is bit-identical to
+// byte-wise FNV-1a for any state and word, including words whose zero
+// bytes sit above, below and between the non-zero ones.
+func TestFnvWordMatchesBytewise(t *testing.T) {
+	words := []uint64{
+		0, 1, 2, 0xFF, 0x100, 0xFFFFFFFFFFFFFFFF,
+		0xFF00000000000000, 0x0100000000000000, 0x8000000000000000,
+		0x00FF00FF00FF00FF, 0xFF00FF00FF00FF00, 0x0100000000000001,
+		0x00000000FFFFFFFF, 0xFFFFFFFF00000000, 0x1200003400005600,
+	}
+	for i := 0; i < 8; i++ {
+		words = append(words, uint64(0xAB)<<(8*i)) // one byte, every position
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		w := rng.Uint64()
+		// Zero a random subset of bytes so interior and trailing
+		// zero runs of every length occur.
+		for b := 0; b < 8; b++ {
+			if rng.Intn(2) == 0 {
+				w &^= 0xFF << (8 * b)
+			}
+		}
+		words = append(words, w, rng.Uint64())
+	}
+	states := []uint64{fnvOffset, 0, 0xFFFFFFFFFFFFFFFF, rng.Uint64()}
+	for _, h := range states {
+		for _, w := range words {
+			if got, want := fnvWord(h, w), fnvWordBytewise(h, w); got != want {
+				t.Fatalf("fnvWord(%#x, %#x) = %#x, byte-wise FNV-1a = %#x", h, w, got, want)
+			}
+		}
+	}
+}
+
 func TestScaleStretchesDurations(t *testing.T) {
 	s, _ := ByName("thread-churn")
 	if err := s.Fill(); err != nil {
